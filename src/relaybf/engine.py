@@ -13,9 +13,12 @@ merged in index order, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import enum
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -100,6 +103,45 @@ def _as_enum(kind, value, name):
         raise ConfigError("invalid %s: %r" % (name, value)) from None
 
 
+def _as_real(value, name):
+    """A finite real number, returned as given (bools are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError("%s must be a number, got %r" % (name, value))
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError("%s must be finite, got %r" % (name, value))
+    return value
+
+
+def _as_int(value, name):
+    """An integer; integral floats are converted, bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer()):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
+def _as_list(value, name, item):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("%s must be a list, got %r" % (name, value))
+    return [item(v, name + " entry") for v in value]
+
+
+_INT_FIELDS = ("num_relays", "num_realizations", "num_frames",
+               "warmup_frames", "seed", "num_pilots", "num_data",
+               "error_target", "min_bits", "bits_cap", "block_size",
+               "num_trajectories")
+_REAL_FIELDS = ("beta", "forgetting_factor")
+# list fields -> entry check; None (a derived default) is left alone
+_LIST_FIELDS = {"betas": _as_real, "snr_db_grid": _as_real,
+                "normalized_doppler_grid": _as_real, "distances": _as_real,
+                "cdf_frames": _as_int, "gap_thresholds": _as_real}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative experiment description; see README for the JSON schema."""
@@ -137,6 +179,13 @@ class ExperimentConfig:
         self.scheme = _as_enum(Scheme, self.scheme, "scheme")
         self.objective = _as_enum(Objective, self.objective, "objective")
         self.constraint = _as_enum(ConstraintKind, self.constraint, "constraint")
+        for name in _INT_FIELDS:
+            setattr(self, name, _as_int(getattr(self, name), name))
+        for name in _REAL_FIELDS:
+            setattr(self, name, _as_real(getattr(self, name), name))
+        for name, item in _LIST_FIELDS.items():
+            if getattr(self, name) is not None:
+                setattr(self, name, _as_list(getattr(self, name), name, item))
         if self.betas is None:
             self.betas = [self.beta]
         if self.cdf_frames is None:
@@ -148,10 +197,18 @@ class ExperimentConfig:
     def validate(self):
         if self.beta <= 0:
             raise ConfigError("beta must be > 0")
-        if any(b <= 0 for b in self.betas):
-            raise ConfigError("betas must be > 0")
+        if not self.betas or any(b <= 0 for b in self.betas):
+            raise ConfigError("betas must be non-empty, all > 0")
         if not self.snr_db_grid:
             raise ConfigError("snr_db_grid must be non-empty")
+        for snr_db in self.snr_db_grid:
+            try:
+                noise_power = 10.0 ** (-snr_db / 10.0)
+            except OverflowError:
+                noise_power = math.inf
+            if not 0 < noise_power < math.inf:
+                raise ConfigError("snr_db_grid entry %r gives a noise power "
+                                  "that is not finite and positive" % snr_db)
         if not self.normalized_doppler_grid \
                 or any(d < 0 for d in self.normalized_doppler_grid):
             raise ConfigError("normalized_doppler_grid must be non-empty, all >= 0")
@@ -173,9 +230,14 @@ class ExperimentConfig:
         if self.scheme is Scheme.PM and (self.num_pilots < 2 or self.num_pilots % 2):
             raise ConfigError("PM needs an even pilot count >= 2")
         if self.schemes is not None:
-            unknown = [t for t in self.schemes if t not in SCHEME_INFO]
+            if not isinstance(self.schemes, (list, tuple)):
+                raise ConfigError("schemes must be a list of scheme tokens")
+            unknown = [t for t in self.schemes
+                       if not isinstance(t, str) or t not in SCHEME_INFO]
             if unknown or not self.schemes:
                 raise ConfigError("unknown scheme tokens: %r" % (unknown,))
+            if len(set(self.schemes)) != len(self.schemes):
+                raise ConfigError("schemes must not repeat a token")
         if self.error_target < 1 or self.bits_cap < 1 or self.block_size < 1:
             raise ConfigError("error_target, bits_cap and block_size must be >= 1")
         if self.min_bits < 0:
@@ -498,26 +560,33 @@ def _batch_oracle(token, hbar, gbar):
 
 
 def _iter_block_results(fn, payloads, workers):
-    """Yield block results in index order; optionally computed in processes."""
+    """Yield `fn(*payload)` for each payload, in payload order.
+
+    Payloads are pulled lazily and at most `workers` blocks are in flight:
+    once the first ones are started, a new payload is pulled only after a
+    result has been yielded and merged by the caller, so a payload
+    generator can look at everything merged so far.  With more than one
+    worker a single process pool serves the whole call.
+    """
+    payloads = iter(payloads)
     if workers <= 1:
         for payload in payloads:
             yield fn(*payload)
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for i in range(0, len(payloads), workers):
-            wave = [pool.submit(fn, *p) for p in payloads[i:i + workers]]
-            for fut in wave:
-                yield fut.result()
+        pending = collections.deque(
+            pool.submit(fn, *p) for p in itertools.islice(payloads, workers))
+        while pending:
+            yield pending.popleft().result()
+            payload = next(payloads, None)
+            if payload is not None:
+                pending.append(pool.submit(fn, *payload))
 
 
-def _block_payloads(cfg, total, *extra):
-    out = []
-    start = 0
-    while start < total:
-        count = min(cfg.block_size, total - start)
-        out.append((cfg, *extra, start, count))
-        start += count
-    return out
+def _block_ranges(cfg, total):
+    """(start, count) of each realization block, in index order."""
+    for start in range(0, total, cfg.block_size):
+        yield start, min(cfg.block_size, total - start)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +668,7 @@ def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceR
     n = cfg.num_realizations
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
     parts_snr, parts_gap, parts_bit = [], [], []
-    payloads = _block_payloads(cfg, n)
+    payloads = ((cfg, start, count) for start, count in _block_ranges(cfg, n))
     for start, snr_t, gap_t, bit_t, gdict in _iter_block_results(
             _convergence_block, payloads, workers):
         for f, arr in gdict.items():
@@ -653,9 +722,17 @@ class BerResult:
         raise KeyError((scheme, snr_db))
 
 
-def _ber_block(cfg, snr_db, start, count):
+def _ber_block(cfg, points, start, count):
+    """BER of one realization range at the SNR points `points`.
+
+    `points` are positions in `cfg.snr_db_grid`.  The channels, bits and
+    noise of each realization are drawn once and shared by every point and
+    scheme; the points advance together on a leading axis.  Returns the
+    block's bits per point, `points`, and errors shaped (points, schemes).
+    """
     r = cfg.num_relays
-    noise_power = 10.0 ** (-snr_db / 10.0)
+    noise_power = np.array(
+        [10.0 ** (-cfg.snr_db_grid[p] / 10.0) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
     schemes = cfg.schemes
     h, g = _draw_channels(cfg, start, count)
@@ -663,29 +740,30 @@ def _ber_block(cfg, snr_db, start, count):
     for ck, power in ((ConstraintKind.SUM_POWER, 1.0),
                       (ConstraintKind.PER_RELAY, 1.0 / r)):
         if any(SCHEME_INFO[t][2] is ck for t in schemes):
-            compound[ck] = _compound_batch(h, g, power, noise_power)
+            compound[ck] = _compound_batch(h, g, power, noise_power[..., None])
 
-    weights = {}
-    best = {}
+    weights = []
+    best = []
     pset = build_perturbation_set(r, cfg.scheme)
     for token in schemes:
         kind, objective, ck = SCHEME_INFO[token]
         hbar, gbar = compound[ck]
+        b = None
         if kind == "batch":
-            weights[token] = _batch_oracle(token, hbar, gbar)
-            continue
-        w = np.tile(init_weights(r, ck).w, (count, 1))
-        b = np.zeros(count)
-        for k in range(cfg.warmup_frames):
-            if cfg.scheme is Scheme.TR:
-                w, b, _ = _tr_batch(w, b, k, cfg.beta, pset, ck, objective,
-                                    hbar, gbar, noise_power,
-                                    cfg.forgetting_factor)
-            else:
-                w, _ = _pm_batch(w, k, cfg.beta, pset, ck, objective,
-                                 hbar, gbar, noise_power)
-        weights[token] = w
-        best[token] = b
+            w = _batch_oracle(token, hbar, gbar)
+        else:
+            w = np.tile(init_weights(r, ck).w, (len(points), count, 1))
+            b = np.zeros((len(points), count))
+            for k in range(cfg.warmup_frames):
+                if cfg.scheme is Scheme.TR:
+                    w, b, _ = _tr_batch(w, b, k, cfg.beta, pset, ck, objective,
+                                        hbar, gbar, noise_power,
+                                        cfg.forgetting_factor)
+                else:
+                    w, _ = _pm_batch(w, k, cfg.beta, pset, ck, objective,
+                                     hbar, gbar, noise_power)
+        weights.append(w)
+        best.append(b)
 
     # shared data bits and unit-variance noise: schemes are compared on
     # identical draws, only the effective channel differs
@@ -698,30 +776,30 @@ def _ber_block(cfg, snr_db, start, count):
         z[j] = (zz[0] + 1j * zz[1]) / np.sqrt(2.0)
     s = 1.0 - 2.0 * bits
 
-    errors = {token: 0 for token in schemes}
+    errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
     for f in range(n_frames):
-        for token in schemes:
+        for t, token in enumerate(schemes):
             kind, objective, ck = SCHEME_INFO[token]
             hbar, gbar = compound[ck]
-            w = weights[token]
+            w = weights[t]
             a = np.sum(np.conj(w) * hbar, axis=-1)
             sigma = np.sqrt(noise_power
                             * (1.0 + network._noise_gain(w, gbar)))
-            y = a[:, None] * s[:, f, :] + sigma[:, None] * z[:, f, :]
+            y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
             coef = np.where(a == 0, 1.0 + 0j, np.conj(a))
-            det = (np.real(coef[:, None] * y) < 0).astype(np.int8)
-            errors[token] += int(np.count_nonzero(det != bits[:, f, :]))
+            det = (np.real(coef[..., None] * y) < 0).astype(np.int8)
+            errors[:, t] += np.count_nonzero(det != bits[:, f, :], axis=(1, 2))
             if kind == "pb":
                 k = cfg.warmup_frames + f
                 if cfg.scheme is Scheme.TR:
-                    weights[token], best[token], _ = _tr_batch(
-                        w, best[token], k, cfg.beta, pset, ck, objective,
+                    weights[t], best[t], _ = _tr_batch(
+                        w, best[t], k, cfg.beta, pset, ck, objective,
                         hbar, gbar, noise_power, cfg.forgetting_factor)
                 else:
-                    weights[token], _ = _pm_batch(
+                    weights[t], _ = _pm_batch(
                         w, k, cfg.beta, pset, ck, objective, hbar, gbar,
                         noise_power)
-    return count * n_frames * n_data, errors
+    return count * n_frames * n_data, points, errors
 
 
 def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
@@ -730,6 +808,8 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
     Each point accumulates whole realization blocks, in index order, until
     every scheme has reached the error target (and min_bits), or the bit cap
     or realization cap is hit, so results do not depend on the worker count.
+    A block covers every point still accumulating when it starts; points
+    are told apart by position, so a repeated SNR value gets its own row.
     """
     if cfg.scenario is not Scenario.IDEALIZED:
         raise ConfigError("the BER experiment runs the idealized scenario")
@@ -737,23 +817,30 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
     bits_per_real = cfg.num_frames * cfg.num_data
     cap = min(cfg.num_realizations,
               math.ceil(cfg.bits_cap / bits_per_real))
-    rows = []
-    for snr_db in cfg.snr_db_grid:
-        payloads = _block_payloads(cfg, cap, snr_db)
-        total_bits = 0
-        err = {token: 0 for token in cfg.schemes}
-        for block_bits, block_err in _iter_block_results(_ber_block, payloads,
-                                                         workers):
-            total_bits += block_bits
-            for token in cfg.schemes:
-                err[token] += block_err[token]
-            if total_bits >= cfg.bits_cap:
-                break
-            if total_bits >= cfg.min_bits \
-                    and all(e >= cfg.error_target for e in err.values()):
-                break
-        for token in cfg.schemes:
-            rows.append(BerRow(token, float(snr_db), total_bits, err[token]))
+    n_points = len(cfg.snr_db_grid)
+    total_bits = [0] * n_points
+    err = np.zeros((n_points, len(cfg.schemes)), dtype=np.int64)
+    active = list(range(n_points))
+    # pulled lazily by the scheduler, so each block carries the points still
+    # active once every earlier block but the ones in flight is merged
+    payloads = ((cfg, tuple(active), start, count)
+                for start, count in _block_ranges(cfg, cap))
+    for block_bits, points, block_err in _iter_block_results(
+            _ber_block, payloads, workers):
+        for p, point_err in zip(points, block_err):
+            if p not in active:  # stopped while this block was in flight
+                continue
+            total_bits[p] += block_bits
+            err[p] += point_err
+            if total_bits[p] >= cfg.bits_cap \
+                    or (total_bits[p] >= cfg.min_bits
+                        and all(e >= cfg.error_target for e in err[p])):
+                active.remove(p)
+        if not active:
+            break
+    rows = [BerRow(token, float(snr_db), total_bits[p], int(err[p, t]))
+            for p, snr_db in enumerate(cfg.snr_db_grid)
+            for t, token in enumerate(cfg.schemes)]
     return BerResult(cfg, rows)
 
 
@@ -786,14 +873,21 @@ class TrackingResult:
         return dop, ber
 
 
-def _tracking_block(cfg, token, beta, doppler, start, count):
+def _tracking_block(cfg, start, count):
+    """Tracking BER of one realization range over the whole grid.
+
+    The fading phases, noise and bits of each realization are drawn once.
+    Each Doppler value gets one `JakesBank`, shared by every scheme and
+    beta; per scheme, all (beta, Doppler) points advance together on
+    leading axes.  Returns the block's bits per point and errors shaped
+    (schemes, betas, dopplers).
+    """
     r = cfg.num_relays
-    _, objective, ck = SCHEME_INFO[token]
     noise_power = 10.0 ** (-cfg.snr_db_grid[0] / 10.0)
-    relay_power = 1.0 if ck is ConstraintKind.SUM_POWER else 1.0 / r
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
     half = lp // 2
+    segments = (slice(0, half), slice(half, lp), slice(lp, s_total))
     pl = PathLoss(cfg.distances)
     amps = np.concatenate([pl.amplitudes, pl.amplitudes])  # h then g processes
 
@@ -804,60 +898,68 @@ def _tracking_block(cfg, token, beta, doppler, start, count):
         crng = _stream(cfg.seed, i, _STREAM_CHANNEL)
         phases[j] = crng.uniform(0.0, 2.0 * np.pi, size=(2 * r, m))
         rngs.append(_stream(cfg.seed, i, _STREAM_NOISE))
-    bank = JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
+    banks = [JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
+             for doppler in cfg.normalized_doppler_grid]
+    grid = (len(cfg.betas), len(banks), count)
+    betas = np.array([float(b) for b in cfg.betas])[:, None, None, None]
 
     pset = build_perturbation_set(r, Scheme.PM)
-    w = np.tile(init_weights(r, ck).w, (count, 1))
-    carry = None
+    schemes = [SCHEME_INFO[token][1:] for token in cfg.schemes]
+    relay_power = {ConstraintKind.SUM_POWER: 1.0,
+                   ConstraintKind.PER_RELAY: 1.0 / r}
+    weights = [np.tile(init_weights(r, ck).w, grid + (1,)) for _, ck in schemes]
+    carry = [None] * len(schemes)
     pilots = np.ones(lp, dtype=complex)
-    errors = 0
+    errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)
+    n = np.empty((count, s_total, r), dtype=complex)
+    v = np.empty((count, s_total), dtype=complex)
+    bits = np.empty((count, ld), dtype=np.int64)
     for f in range(cfg.warmup_frames + cfg.num_frames):
-        coeff = bank.block(f * s_total, s_total)        # (count, 2R, S)
-        h_t = coeff[:, :r, :].transpose(0, 2, 1)        # (count, S, R)
-        g_t = coeff[:, r:, :].transpose(0, 2, 1)
-        n = np.stack([complex_normal(rngs[j], (s_total, r), noise_power)
-                      for j in range(count)])
-        v = np.stack([complex_normal(rngs[j], s_total, noise_power)
-                      for j in range(count)])
-        bits = np.stack([rngs[j].integers(0, 2, size=ld)
-                         for j in range(count)])
+        coeff = np.stack([bank.block(f * s_total, s_total)
+                          for bank in banks])            # (D, count, 2R, S)
+        h_t = coeff[:, :, :r, :].transpose(0, 1, 3, 2)   # (D, count, S, R)
+        g_t = coeff[:, :, r:, :].transpose(0, 1, 3, 2)
+        for j in range(count):
+            n[j] = complex_normal(rngs[j], (s_total, r), noise_power)
+            v[j] = complex_normal(rngs[j], s_total, noise_power)
+            bits[j] = rngs[j].integers(0, 2, size=ld)
         s = np.concatenate(
             [np.ones((count, lp)), 1.0 - 2.0 * bits], axis=1)
         x = h_t * s[:, :, None] + n                     # source power 1
-        alpha = np.sqrt(relay_power / np.mean(np.abs(x) ** 2, axis=1))
+        measured = np.mean(np.abs(x) ** 2, axis=2)      # (D, count, R)
+        gx = [g_t[..., sl, :] * x[..., sl, :] for sl in segments]
         q = pset.column(f)
-        plus = _normalize_batch(w + beta * q, ck, w)
-        minus = _normalize_batch(w - beta * q, ck, w)
-
-        def _segment(sl, ww):
-            gx = g_t[:, sl, :] * x[:, sl, :]
-            return np.sum(gx * (np.conj(ww) * alpha)[:, None, :], axis=2) \
+        for t, (objective, ck) in enumerate(schemes):
+            w = weights[t]                              # (B, D, count, R)
+            alpha = np.sqrt(relay_power[ck] / measured)
+            plus = _normalize_batch(w + betas * q, ck, w)
+            minus = _normalize_batch(w - betas * q, ck, w)
+            y_p1, y_p2, y_d = (
+                np.sum(gx_seg * (np.conj(ww) * alpha)[..., None, :], axis=-1)
                 + v[:, sl]
-
-        y_p1 = _segment(slice(0, half), plus)
-        y_p2 = _segment(slice(half, lp), minus)
-        y_d = _segment(slice(lp, s_total), w)
-        h_plus = estimation._channel_estimate(y_p1, pilots[:half])
-        h_minus = estimation._channel_estimate(y_p2, pilots[half:])
-        if objective is Objective.POWER:
-            j_plus = np.abs(h_plus) ** 2
-            j_minus = np.abs(h_minus) ** 2
-        else:
-            j_plus = estimation._snr_estimate(h_plus, y_p1, pilots[:half])
-            j_minus = estimation._snr_estimate(h_minus, y_p2, pilots[half:])
-        take_minus = j_minus > j_plus
-        h_winner = np.where(take_minus, h_minus, h_plus)
-        if cfg.pm_estimation_mode == "whole":
-            h_data = estimation._channel_estimate(
-                np.concatenate([y_p1, y_p2], axis=1), pilots)
-        else:
-            h_data = carry if carry is not None else h_winner
-        if f >= cfg.warmup_frames:
-            coef = np.where(h_data == 0, 1.0 + 0j, np.conj(h_data))
-            det = (np.real(coef[:, None] * y_d) < 0).astype(np.int8)
-            errors += int(np.count_nonzero(det != bits))
-        w = np.where(take_minus[:, None], minus, plus)
-        carry = h_winner
+                for gx_seg, ww, sl in zip(gx, (plus, minus, w), segments))
+            h_plus = estimation._channel_estimate(y_p1, pilots[:half])
+            h_minus = estimation._channel_estimate(y_p2, pilots[half:])
+            if objective is Objective.POWER:
+                j_plus = np.abs(h_plus) ** 2
+                j_minus = np.abs(h_minus) ** 2
+            else:
+                j_plus = estimation._snr_estimate(h_plus, y_p1, pilots[:half])
+                j_minus = estimation._snr_estimate(h_minus, y_p2,
+                                                   pilots[half:])
+            take_minus = j_minus > j_plus
+            h_winner = np.where(take_minus, h_minus, h_plus)
+            if cfg.pm_estimation_mode == "whole":
+                h_data = estimation._channel_estimate(
+                    np.concatenate([y_p1, y_p2], axis=-1), pilots)
+            else:
+                h_data = carry[t] if carry[t] is not None else h_winner
+            if f >= cfg.warmup_frames:
+                coef = np.where(h_data == 0, 1.0 + 0j, np.conj(h_data))
+                det = (np.real(coef[..., None] * y_d) < 0).astype(np.int8)
+                errors[t] += np.count_nonzero(det != bits, axis=(-2, -1))
+            weights[t] = np.where(take_minus[..., None], minus, plus)
+            carry[t] = h_winner
     return count * cfg.num_frames * ld, errors
 
 
@@ -866,7 +968,8 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
 
     Channels, noise and payload bits are drawn from per-realization streams
     that do not depend on the scheme, beta or Doppler, so every curve is a
-    paired comparison on identical randomness.
+    paired comparison on identical randomness.  Each block draws them once
+    and advances the whole grid; grid points are told apart by position.
     """
     if cfg.scenario is not Scenario.REALISTIC:
         raise ConfigError("the tracking experiment runs the realistic scenario")
@@ -879,20 +982,19 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
     if bad:
         raise ConfigError("tracking supports adaptive schemes only, got %r" % bad)
     cfg.frame_config().validate_for(Scheme.PM)
-    rows = []
-    for token in cfg.schemes:
-        for beta in cfg.betas:
-            for doppler in cfg.normalized_doppler_grid:
-                payloads = _block_payloads(cfg, cfg.num_realizations, token,
-                                           beta, doppler)
-                bits_total = 0
-                err_total = 0
-                for blk_bits, blk_err in _iter_block_results(
-                        _tracking_block, payloads, workers):
-                    bits_total += blk_bits
-                    err_total += blk_err
-                rows.append(TrackingRow(token, float(beta), float(doppler),
-                                        bits_total, err_total))
+    payloads = ((cfg, start, count)
+                for start, count in _block_ranges(cfg, cfg.num_realizations))
+    bits_total = 0
+    err_total = 0
+    for blk_bits, blk_err in _iter_block_results(_tracking_block, payloads,
+                                                 workers):
+        bits_total += blk_bits
+        err_total = err_total + blk_err
+    rows = [TrackingRow(token, float(beta), float(doppler), bits_total,
+                        int(err_total[t, b, d]))
+            for t, token in enumerate(cfg.schemes)
+            for b, beta in enumerate(cfg.betas)
+            for d, doppler in enumerate(cfg.normalized_doppler_grid)]
     return TrackingResult(cfg, rows)
 
 

@@ -56,6 +56,24 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("bad", [
+    # accepted before strict validation, with meaningless rows
+    {"beta": float("nan"), "schemes": ["pb-s-sp"]},
+    {"snr_db_grid": [float("inf")]},
+    # TypeError or OverflowError tracebacks before strict validation
+    {"num_frames": 2.5},
+    {"num_relays": True, "distances": [1.0]},
+    {"snr_db_grid": [-1e6]},
+])
+def test_invalid_numbers_exit_1_with_one_line(tmp_path, capsys, bad):
+    cfg = _cfg_file(tmp_path, {**BER_CFG, **bad})
+    out = tmp_path / "o"
+    assert main(["ber", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

@@ -1,5 +1,7 @@
 """Tests for the frame loop, the batched kernels, and the experiment runners."""
 
+import concurrent.futures
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -65,10 +67,29 @@ def test_config_round_trip_and_unknown_keys():
     {"cdf_frames": [5, 999]},
     {"snr_db_grid": []},
     {"seed": -1},
+    {"beta": float("nan")},
+    {"betas": []},
+    {"betas": [0.1, float("inf")]},
+    {"distances": [1.0, 3.0, float("inf")]},
+    {"snr_db_grid": [float("inf")]},
+    {"snr_db_grid": [-1e6]},  # noise power overflows
+    {"snr_db_grid": [1e6]},   # noise power underflows to zero
+    {"snr_db_grid": 18.0},
+    {"num_frames": 2.5},
+    {"num_frames": "30"},
+    {"num_relays": True},
+    {"cdf_frames": [10.5]},
+    {"schemes": ["p-sp", "p-sp"]},
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         ExperimentConfig(**bad)
+
+
+def test_config_converts_integral_floats():
+    cfg = ExperimentConfig(num_frames=30.0, cdf_frames=[10.0])
+    assert cfg.num_frames == 30 and type(cfg.num_frames) is int
+    assert cfg.cdf_frames == [10] and type(cfg.cdf_frames[0]) is int
 
 
 def test_frame_config_pm_split():
@@ -262,6 +283,48 @@ def test_ber_respects_bits_cap():
     assert res.rows[0].bits == 15 * 200
 
 
+def _ber_rows(res):
+    return [(r.scheme, r.snr_db, r.bits, r.errors) for r in res.rows]
+
+
+# error_target 200 stops 4 dB after one 8-realization block, 10 dB after
+# three or four, and 30 dB only at the 5-block realization cap
+STACK_BER_CFG = {**BER_CFG, "snr_db_grid": [4.0, 10.0, 4.0, 30.0],
+                 "schemes": ["no-bf", "egc", "pb-s-sp"], "num_realizations": 40,
+                 "num_frames": 4, "warmup_frames": 30, "error_target": 200,
+                 "block_size": 8}
+
+
+@pytest.mark.parametrize("scheme", ["pm", "tr"])
+def test_ber_stacked_grid_matches_points_run_alone(scheme):
+    # One block advances every SNR point still accumulating; each point's
+    # rows must equal a run of that point alone, whatever the worker count.
+    cfg = ExperimentConfig(**{**STACK_BER_CFG, "scheme": scheme})
+    alone = []
+    for snr_db in cfg.snr_db_grid:
+        alone += _ber_rows(run_ber_experiment(replace(cfg,
+                                                      snr_db_grid=[snr_db])))
+    assert len({bits for _, _, bits, _ in alone}) == 3
+    for workers in (1, 2):
+        assert _ber_rows(run_ber_experiment(cfg, workers=workers)) == alone
+
+
+def test_ber_block_carries_only_accumulating_points(monkeypatch):
+    carried = []
+    block = engine._ber_block
+
+    def recording_block(cfg, points, start, count):
+        carried.append(points)
+        return block(cfg, points, start, count)
+
+    monkeypatch.setattr(engine, "_ber_block", recording_block)
+    res = run_ber_experiment(ExperimentConfig(**STACK_BER_CFG))
+    block_bits = 8 * 4 * 40
+    used = [row.bits // block_bits for row in res.rows[::3]]
+    assert carried == [tuple(p for p, n in enumerate(used) if n > k)
+                       for k in range(max(used))]
+
+
 def test_ber_rejects_realistic_scenario():
     with pytest.raises(ConfigError):
         run_ber_experiment(ExperimentConfig(**{**BER_CFG,
@@ -285,6 +348,69 @@ def test_tracking_rows_and_determinism():
     again = run_tracking_experiment(ExperimentConfig(**TRACK_CFG), workers=2)
     assert [(r.bits, r.errors) for r in res.rows] \
         == [(r.bits, r.errors) for r in again.rows]
+
+
+def _tracking_rows(res):
+    return [(r.scheme, r.beta, r.normalized_doppler, r.bits, r.errors)
+            for r in res.rows]
+
+
+@pytest.mark.parametrize("mode", ["split", "whole"])
+def test_tracking_stacked_grid_matches_points_run_alone(mode):
+    # pb-egc (per-relay, power) and pb-s-sp (sum power, SNR) share each
+    # block's draws and fading banks with every beta and Doppler value.
+    cfg = ExperimentConfig(**{**TRACK_CFG, "schemes": ["pb-egc", "pb-s-sp"],
+                              "betas": [0.1, 0.5],
+                              "pm_estimation_mode": mode})
+    alone = []
+    for token in cfg.schemes:
+        for beta in cfg.betas:
+            for doppler in cfg.normalized_doppler_grid:
+                alone += _tracking_rows(run_tracking_experiment(replace(
+                    cfg, schemes=[token], betas=[beta],
+                    normalized_doppler_grid=[doppler])))
+    for workers in (1, 2):
+        assert _tracking_rows(run_tracking_experiment(cfg, workers=workers)) \
+            == alone
+
+
+def test_one_pool_per_multi_point_run(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    for run, rows, cfg in (
+            (run_ber_experiment, _ber_rows, ExperimentConfig(**BER_CFG)),
+            (run_tracking_experiment, _tracking_rows,
+             ExperimentConfig(**TRACK_CFG))):
+        serial = rows(run(cfg, workers=1))
+        assert not pools
+        assert rows(run(cfg, workers=2)) == serial
+        assert len(pools) == 1
+        pools.clear()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scheduler_pulls_payloads_lazily(workers):
+    pulled = []
+
+    def payloads():
+        for i in range(7):
+            pulled.append(i)
+            yield (i,)
+
+    results = []
+    for value in engine._iter_block_results(operator.neg, payloads(),
+                                            workers):
+        # at most `workers` blocks are in flight when a result arrives
+        assert len(pulled) <= len(results) + workers
+        results.append(value)
+    assert results == [-i for i in range(7)]
 
 
 def test_tracking_rejects_wrong_setup():
