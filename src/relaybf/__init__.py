@@ -6,16 +6,13 @@ from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, PmState,
                          Scheme, TrState, build_perturbation_set, dft_matrix,
                          init_pm_state, init_tr_state, init_weights, normalize,
                          pm_perturb, pm_step, tr_perturb, tr_step)
-from .channel import (ChannelRealization, JakesBank, JakesState, PathLoss,
-                      complex_normal, jakes_init, jakes_sample,
-                      jakes_sample_block, sample_static_rayleigh,
-                      sample_static_rayleigh_batch)
+from .channel import (ChannelRealization, JakesBank, PathLoss, complex_normal,
+                      sample_static_rayleigh)
 from .engine import (BerResult, BerRow, ConfigError, ConvergenceResult,
-                     ExperimentConfig, FrameConfig, FrameResult, LinkContext,
-                     Objective, Scenario, TrackingResult, TrackingRow,
-                     bpsk_detect, bpsk_modulate, make_link,
-                     run_ber_experiment, run_convergence_experiment,
-                     run_frame, run_tracking_experiment, snr_at_ber)
+                     ExperimentConfig, Objective, Scenario, TrackingResult,
+                     TrackingRow, run_ber_experiment,
+                     run_convergence_experiment, run_tracking_experiment,
+                     snr_at_ber)
 from .estimation import (PilotBlock, estimate_compound_channel, estimate_power,
                          estimate_snr)
 from .membership import (BirthMessage, DeathMessage, ProtocolError,
@@ -24,7 +21,7 @@ from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          index_bits, insert_coordinate)
 from .network import (CompoundParams, NetworkParams, compound_params,
                       ideal_relay_gains, objective_power, objective_snr,
-                      relay_gain, simulate_symbol, simulate_symbols)
+                      relay_gain, simulate_symbols)
 from .oracles import (DegenerateChannelError, egc_weights, nobf_weights,
                       psp_weights, random_search_margins, ssp_weights)
 

@@ -69,12 +69,20 @@ class BeamVector:
 
 def _normalize_sum(w_raw, fallback):
     norm = np.sqrt(np.sum(np.abs(w_raw) ** 2, axis=-1, keepdims=True))
+    if np.isinf(norm).any():
+        # |w|^2 overflowed (norm >= 1e154): scaling those rows by a power of
+        # two is exact, keeps their direction, and leaves norm > ZERO_NORM
+        w_raw = np.where(np.isinf(norm), w_raw * 2.0 ** -530, w_raw)
+        norm = np.sqrt(np.sum(np.abs(w_raw) ** 2, axis=-1, keepdims=True))
     safe = np.where(norm < ZERO_NORM, 1.0, norm)
     return np.where(norm < ZERO_NORM, fallback, w_raw / safe)
 
 
 def _normalize_per_relay(w_raw, fallback):
     mag = np.abs(w_raw)
+    if np.isinf(mag).any():  # |w_i| overflowed; halving is exact
+        w_raw = np.where(np.isinf(mag), w_raw * 0.5, w_raw)
+        mag = np.abs(w_raw)
     safe = np.where(mag < ZERO_NORM, 1.0, mag)
     return np.where(mag < ZERO_NORM, fallback, w_raw / safe)
 

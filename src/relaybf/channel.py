@@ -79,14 +79,6 @@ def sample_static_rayleigh(rng, path_loss):
     return ChannelRealization(h, g)
 
 
-def sample_static_rayleigh_batch(rng, path_loss, count):
-    """Stacked draws from one stream; returns (h, g) each shaped (count, R)."""
-    shape = (count, path_loss.num_relays)
-    h = complex_normal(rng, shape, path_loss.variances)
-    g = complex_normal(rng, shape, path_loss.variances)
-    return h, g
-
-
 def _oscillator_angles(num_oscillators):
     # Midpoint grid on the half circle: every oscillator gets a distinct
     # Doppler shift (no mirrored duplicates), and the ensemble autocorrelation
@@ -94,83 +86,28 @@ def _oscillator_angles(num_oscillators):
     return np.pi * (np.arange(num_oscillators) + 0.5) / num_oscillators
 
 
-def _check_doppler_args(normalized_doppler, num_oscillators, symbols_per_frame):
-    if normalized_doppler < 0:
-        raise ValueError("normalized_doppler must be >= 0")
-    if num_oscillators < MIN_NUM_OSCILLATORS:
-        raise ValueError("num_oscillators must be >= %d" % MIN_NUM_OSCILLATORS)
-    if symbols_per_frame < 1:
-        raise ValueError("symbols_per_frame must be >= 1")
-
-
-@dataclass
-class JakesState:
-    """One sum-of-sinusoids fading process sampled on a symbol clock.
-
-    ``normalized_doppler`` is the Doppler frequency in Hz multiplied by the
-    frame duration in seconds; ``symbols_per_frame`` converts it to a
-    per-symbol rotation rate.
-    """
-
-    oscillator_phases: np.ndarray
-    oscillator_angles: np.ndarray
-    normalized_doppler: float
-    amplitude: float
-    symbols_per_frame: int
-    symbol_clock: int = 0
-
-    @property
-    def num_oscillators(self) -> int:
-        return int(self.oscillator_phases.size)
-
-    @property
-    def doppler_per_symbol(self) -> float:
-        return self.normalized_doppler / self.symbols_per_frame
-
-
-def jakes_init(rng, normalized_doppler, amplitude,
-               num_oscillators=DEFAULT_NUM_OSCILLATORS, symbols_per_frame=50):
-    """Initialize a fading process with i.i.d. uniform oscillator phases."""
-    _check_doppler_args(normalized_doppler, num_oscillators, symbols_per_frame)
-    angles = _oscillator_angles(num_oscillators)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=num_oscillators)
-    return JakesState(phases, angles, float(normalized_doppler),
-                      float(amplitude), int(symbols_per_frame))
-
-
-def jakes_sample_block(state, start_index, count):
-    """Sample `count` consecutive symbols starting at `start_index`.
-
-    Time must not regress below the state's symbol clock; the clock advances
-    to the last sampled index.
-    """
-    if start_index < state.symbol_clock:
-        raise ValueError("symbol time must advance monotonically")
-    m = state.num_oscillators
-    omega = 2.0 * np.pi * state.doppler_per_symbol * np.cos(state.oscillator_angles)
-    t = start_index + np.arange(count)
-    osc = np.exp(1j * (omega[:, None] * t[None, :] + state.oscillator_phases[:, None]))
-    state.symbol_clock = int(start_index + count - 1)
-    return state.amplitude / np.sqrt(m) * osc.sum(axis=0)
-
-
-def jakes_sample(state, symbol_index) -> complex:
-    """Sample the process at one symbol index (monotone clock)."""
-    return complex(jakes_sample_block(state, symbol_index, 1)[0])
-
-
 class JakesBank:
     """Stack of independent fading processes sharing one oscillator grid.
 
-    ``phases`` has shape (*proc_shape, M); blocks come back shaped
-    (*proc_shape, count).  Values match `jakes_sample_block` up to rounding.
-    Built either from explicit phases (so callers can draw each process from
-    its own stream) or via `draw` from a single generator.
+    Process n is amplitude_n / sqrt(M) * sum_m exp(j(omega_m t + phi_nm))
+    on the symbol clock t, with omega_m = 2 pi (normalized_doppler /
+    symbols_per_frame) cos(pi (m + 1/2) / M).  ``normalized_doppler`` is the
+    Doppler frequency in Hz times the frame duration in seconds.
+    ``phases`` has shape (*proc_shape, M), and blocks come back shaped
+    (*proc_shape, count); phases shaped (M,) give a single process.  Built
+    either from explicit phases (so callers can draw each process from its
+    own stream) or via `draw` from a single generator.  Time must not
+    regress below the last sampled index.
     """
 
     def __init__(self, phases, normalized_doppler, amplitudes, symbols_per_frame=50):
         phases = np.asarray(phases, dtype=float)
-        _check_doppler_args(normalized_doppler, phases.shape[-1], symbols_per_frame)
+        if normalized_doppler < 0:
+            raise ValueError("normalized_doppler must be >= 0")
+        if phases.shape[-1] < MIN_NUM_OSCILLATORS:
+            raise ValueError("num_oscillators must be >= %d" % MIN_NUM_OSCILLATORS)
+        if symbols_per_frame < 1:
+            raise ValueError("symbols_per_frame must be >= 1")
         self.phases = phases
         self.normalized_doppler = float(normalized_doppler)
         self.symbols_per_frame = int(symbols_per_frame)

@@ -99,11 +99,33 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _atomic_write(path, write):
+    """Call `write(fh)` on a temp file next to `path`, then rename it over
+    `path`, so a failed run never leaves a half-written output behind."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failure
+            os.remove(tmp)
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _atomic_write(path, write)
+
+
+def _write_json(path, data):
+    def write(fh):
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _atomic_write(path, write)
 
 
 def _prepare_out(args, filenames):
@@ -125,12 +147,9 @@ def _write_common(args, command, cfg, csv_files):
         "outputs": sorted(csv_files),
         "config": cfg.to_dict(),
     }
-    with open(os.path.join(args.out, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "config.json"), cfg.to_dict())
+    # last, so a manifest only ever lists outputs that were fully written
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 def _cmd_convergence(args) -> int:

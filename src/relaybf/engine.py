@@ -1,10 +1,11 @@
-"""Frame-level simulation loop and the three experiment families.
+"""Batched frame kernels and the three experiment families.
 
 A frame is a training interval (pilot symbols sent under perturbed weights)
 followed by a data interval sent under the current working vector.  The
 idealized scenario gives the destination exact objectives and the exact
 compound channel; the realistic scenario runs per-symbol time-varying
-channels, measured relay gains and pilot-based estimates.
+channels, measured relay gains and pilot-based estimates.  Every kernel
+advances a whole stack of links at once, one per leading-axis entry.
 
 Experiments fan independent realizations out over fixed-size blocks.  Every
 realization draws from its own seed-derived sub-streams, and blocks are
@@ -24,15 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import adaptation, estimation, network, oracles
-from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, PmState,
-                         Scheme, TrState, build_perturbation_set,
-                         init_pm_state, init_tr_state, init_weights,
-                         pm_perturb, pm_step, tr_perturb, tr_step)
-from .channel import (ChannelRealization, JakesBank, PathLoss, complex_normal,
-                      sample_static_rayleigh)
-from .network import (CompoundParams, NetworkParams, compound_params,
-                      ideal_relay_gains, objective_power, objective_snr,
-                      relay_gain, simulate_symbols)
+from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
+                         init_weights)
+from .channel import JakesBank, PathLoss, complex_normal, sample_static_rayleigh
 
 _STREAM_CHANNEL = 0
 _STREAM_NOISE = 1
@@ -52,15 +47,16 @@ class Objective(enum.Enum):
     SNR = "snr"
 
 
-# BER/tracking scheme tokens: kind, adaptation objective (PB only), constraint
-SCHEME_INFO = {
-    "no-bf": ("batch", None, ConstraintKind.SUM_POWER),
-    "egc": ("batch", None, ConstraintKind.PER_RELAY),
-    "p-sp": ("batch", None, ConstraintKind.SUM_POWER),
-    "s-sp": ("batch", None, ConstraintKind.SUM_POWER),
-    "pb-egc": ("pb", Objective.POWER, ConstraintKind.PER_RELAY),
-    "pb-p-sp": ("pb", Objective.POWER, ConstraintKind.SUM_POWER),
-    "pb-s-sp": ("pb", Objective.SNR, ConstraintKind.SUM_POWER),
+# BER/tracking scheme token -> (adaptation objective, or None for
+# closed-form weights; constraint)
+SCHEMES = {
+    "no-bf": (None, ConstraintKind.SUM_POWER),
+    "egc": (None, ConstraintKind.PER_RELAY),
+    "p-sp": (None, ConstraintKind.SUM_POWER),
+    "s-sp": (None, ConstraintKind.SUM_POWER),
+    "pb-egc": (Objective.POWER, ConstraintKind.PER_RELAY),
+    "pb-p-sp": (Objective.POWER, ConstraintKind.SUM_POWER),
+    "pb-s-sp": (Objective.SNR, ConstraintKind.SUM_POWER),
 }
 DEFAULT_BER_SCHEMES = ["no-bf", "egc", "p-sp", "s-sp", "pb-p-sp", "pb-s-sp"]
 DEFAULT_TRACKING_SCHEMES = ["pb-s-sp"]
@@ -71,27 +67,6 @@ _DEFAULT_CDF_FRAMES = (10, 20, 40, 70, 100)
 def _default_gap_thresholds():
     grid = np.geomspace(1e-4, 1.0, 61)
     return sorted(set(float(t) for t in grid) | {0.043})
-
-
-@dataclass
-class FrameConfig:
-    """Frame layout: pilot block followed by the data block."""
-
-    num_pilots: int = 10
-    num_data: int = 40
-
-    def __post_init__(self):
-        if self.num_pilots < 1 or self.num_data < 1:
-            raise ValueError("frames need at least one pilot and one data symbol")
-
-    @property
-    def symbols_per_frame(self) -> int:
-        return self.num_pilots + self.num_data
-
-    def validate_for(self, scheme: Scheme):
-        if scheme is Scheme.PM and (self.num_pilots < 2 or self.num_pilots % 2):
-            raise ValueError("PM needs an even pilot count >= 2 to split in half")
-        return self
 
 
 def _as_enum(kind, value, name):
@@ -233,7 +208,7 @@ class ExperimentConfig:
             if not isinstance(self.schemes, (list, tuple)):
                 raise ConfigError("schemes must be a list of scheme tokens")
             unknown = [t for t in self.schemes
-                       if not isinstance(t, str) or t not in SCHEME_INFO]
+                       if not isinstance(t, str) or t not in SCHEMES]
             if unknown or not self.schemes:
                 raise ConfigError("unknown scheme tokens: %r" % (unknown,))
             if len(set(self.schemes)) != len(self.schemes):
@@ -274,9 +249,6 @@ class ExperimentConfig:
             out[name] = value
         return out
 
-    def frame_config(self) -> FrameConfig:
-        return FrameConfig(self.num_pilots, self.num_data)
-
 
 def _stream(seed, realization, stream):
     """Deterministic per-(realization, purpose) generator; order-independent."""
@@ -284,211 +256,17 @@ def _stream(seed, realization, stream):
     return np.random.default_rng(ss)
 
 
-def bpsk_modulate(bits) -> np.ndarray:
-    """Map bit 0 to +1 and bit 1 to -1."""
-    bits = np.asarray(bits)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    return (1.0 - 2.0 * bits).astype(complex)
-
-
-def bpsk_detect(y, h_hat) -> int:
-    """ML decision: bit 0 iff Re(conj(h_hat)*y) >= 0; h_hat 0 falls back to Re(y)."""
-    coef = np.conj(h_hat) if h_hat != 0 else 1.0
-    return int(np.real(coef * y) < 0)
-
-
 def _detect_bits(y, h_hat):
-    """Vectorized detector; y (..., L), h_hat (...,)."""
+    """ML BPSK decision, bit 1 iff Re(conj(h_hat)*y) < 0, for y (..., L)
+    and h_hat (...,); a zero estimate falls back to the sign of Re(y)."""
     h_hat = np.asarray(h_hat)
     coef = np.where(h_hat == 0, 1.0 + 0j, np.conj(h_hat))
     return (np.real(coef[..., None] * y) < 0).astype(np.int8)
 
 
-@dataclass
-class FrameResult:
-    """Everything one frame produced at the destination."""
-
-    feedback_bit: int
-    objective_training: object  # float (TR) or (j_plus, j_minus) (PM)
-    objective_data: float
-    detected_bits: np.ndarray
-    bit_errors: int
-    h_hat_used: complex
-
-
-@dataclass
-class LinkContext:
-    """Full state of one source-relays-destination link between frames."""
-
-    params: NetworkParams
-    frame_config: FrameConfig
-    scenario: Scenario
-    scheme: Scheme
-    objective: Objective
-    beta: float
-    pset: PerturbationSet
-    state: object  # TrState | PmState
-    rng: np.random.Generator
-    chan: ChannelRealization = None
-    jakes: JakesBank = None  # (2R,) processes: backward channels then forward
-    pm_estimation_mode: str = "split"
-    stored_h_hat: complex = None
-    symbol_cursor: int = 0
-
-    @property
-    def constraint(self) -> ConstraintKind:
-        return self.state.w_data.constraint
-
-
-def make_link(params, scheme, objective, constraint, beta, rng, *,
-              scenario=Scenario.IDEALIZED, chan=None, jakes=None,
-              frame_config=None, forgetting_factor=1.0,
-              pm_estimation_mode="split") -> LinkContext:
-    """Assemble a ready-to-run link with freshly initialized adaptation."""
-    fc = (frame_config or FrameConfig()).validate_for(scheme)
-    if scenario is Scenario.IDEALIZED and chan is None:
-        raise ValueError("idealized links need a static channel realization")
-    if scenario is Scenario.REALISTIC and jakes is None:
-        raise ValueError("realistic links need a bank of fading processes")
-    r = params.num_relays
-    pset = build_perturbation_set(r, scheme)
-    if scheme is Scheme.TR:
-        state = init_tr_state(r, constraint, forgetting_factor)
-    else:
-        state = init_pm_state(r, constraint)
-    return LinkContext(params, fc, scenario, scheme, objective, float(beta),
-                       pset, state, rng, chan=chan, jakes=jakes,
-                       pm_estimation_mode=pm_estimation_mode)
-
-
-def _exact_objective(ctx, w: BeamVector, cp: CompoundParams) -> float:
-    if ctx.objective is Objective.POWER:
-        return objective_power(w, cp)
-    return objective_snr(w, cp, ctx.params.noise_power)
-
-
-def run_frame(ctx: LinkContext, frame_bits) -> FrameResult:
-    """Advance one frame: train, update weights from the feedback bit, and
-    detect the data interval with the estimate that belongs to its weights."""
-    bits = np.asarray(frame_bits)
-    if bits.shape != (ctx.frame_config.num_data,):
-        raise ValueError("frame_bits must have length num_data")
-    if ctx.scenario is Scenario.IDEALIZED:
-        return _run_frame_idealized(ctx, bits)
-    return _run_frame_realistic(ctx, bits)
-
-
-def _run_frame_idealized(ctx, bits):
-    alphas = ideal_relay_gains(ctx.params, ctx.chan)
-    cp = compound_params(ctx.params, ctx.chan, alphas)
-    w_data = ctx.state.w_data
-    if ctx.scheme is Scheme.TR:
-        cand = tr_perturb(ctx.state, ctx.beta, ctx.pset)
-        j_train = _exact_objective(ctx, cand, cp)
-        new_state, bit = tr_step(ctx.state, cand, j_train)
-        objective_training = j_train
-    else:
-        plus, minus = pm_perturb(ctx.state, ctx.beta, ctx.pset)
-        j_plus = _exact_objective(ctx, plus, cp)
-        j_minus = _exact_objective(ctx, minus, cp)
-        new_state, bit = pm_step(ctx.state, plus, minus, j_plus, j_minus)
-        objective_training = (j_plus, j_minus)
-    # the destination knows the compound channel exactly in this scenario
-    h_hat = complex(np.vdot(w_data.w, cp.hbar))
-    y = simulate_symbols(ctx.params, ctx.chan, alphas, w_data,
-                         bpsk_modulate(bits), ctx.rng)
-    detected = _detect_bits(y, h_hat)
-    errors = int(np.count_nonzero(detected != bits))
-    result = FrameResult(bit, objective_training,
-                         _exact_objective(ctx, w_data, cp), detected, errors,
-                         h_hat)
-    ctx.state = new_state
-    ctx.symbol_cursor += ctx.frame_config.symbols_per_frame
-    return result
-
-
-def _combine(g_seg, w, alphas, x_seg):
-    """Destination sum over relays for one symbol segment (no noise)."""
-    return np.sum(g_seg * np.conj(w)[None, :] * alphas[None, :] * x_seg, axis=1)
-
-
-def _run_frame_realistic(ctx, bits):
-    fc = ctx.frame_config
-    params = ctx.params
-    r = params.num_relays
-    lp, s_total = fc.num_pilots, fc.symbols_per_frame
-    coeff = ctx.jakes.block(ctx.symbol_cursor, s_total)  # (2R, S)
-    h_t = coeff[:r].T  # (S, R)
-    g_t = coeff[r:].T
-    pilots = np.ones(lp, dtype=complex)
-    s = np.concatenate([pilots, bpsk_modulate(bits)])
-    n = complex_normal(ctx.rng, (s_total, r), params.noise_power)
-    v = complex_normal(ctx.rng, s_total, params.noise_power)
-    x = np.sqrt(params.source_power) * h_t * s[:, None] + n
-    measured = np.mean(np.abs(x) ** 2, axis=0)
-    alphas = np.array([relay_gain(params, 0.0, "measured", m) for m in measured])
-    w_data = ctx.state.w_data
-
-    if ctx.scheme is Scheme.TR:
-        cand = tr_perturb(ctx.state, ctx.beta, ctx.pset)
-        y_p = _combine(g_t[:lp], cand.w, alphas, x[:lp]) + v[:lp]
-        block = estimation.PilotBlock(pilots, y_p)
-        h_tilde = estimation.estimate_compound_channel(block)
-        if ctx.objective is Objective.POWER:
-            j_train = estimation.estimate_power(h_tilde)
-        else:
-            j_train = estimation.estimate_snr(h_tilde, block)
-        new_state, bit = tr_step(ctx.state, cand, j_train)
-        h_for_data = ctx.stored_h_hat if ctx.stored_h_hat is not None else h_tilde
-        if bit:
-            ctx.stored_h_hat = h_tilde
-        objective_training = j_train
-    else:
-        plus, minus = pm_perturb(ctx.state, ctx.beta, ctx.pset)
-        half = lp // 2
-        y_p1 = _combine(g_t[:half], plus.w, alphas, x[:half]) + v[:half]
-        y_p2 = _combine(g_t[half:lp], minus.w, alphas, x[half:lp]) + v[half:lp]
-        b1 = estimation.PilotBlock(pilots[:half], y_p1)
-        b2 = estimation.PilotBlock(pilots[half:], y_p2)
-        h_plus = estimation.estimate_compound_channel(b1)
-        h_minus = estimation.estimate_compound_channel(b2)
-        if ctx.objective is Objective.POWER:
-            j_plus = estimation.estimate_power(h_plus)
-            j_minus = estimation.estimate_power(h_minus)
-        else:
-            j_plus = estimation.estimate_snr(h_plus, b1)
-            j_minus = estimation.estimate_snr(h_minus, b2)
-        new_state, bit = pm_step(ctx.state, plus, minus, j_plus, j_minus)
-        h_winner = h_minus if bit else h_plus
-        if ctx.pm_estimation_mode == "whole":
-            whole = estimation.PilotBlock(pilots, np.concatenate([y_p1, y_p2]))
-            h_for_data = estimation.estimate_compound_channel(whole)
-        else:
-            h_for_data = ctx.stored_h_hat if ctx.stored_h_hat is not None else h_winner
-        ctx.stored_h_hat = h_winner
-        objective_training = (j_plus, j_minus)
-
-    y_d = _combine(g_t[lp:], w_data.w, alphas, x[lp:]) + v[lp:]
-    detected = _detect_bits(y_d, complex(h_for_data))
-    errors = int(np.count_nonzero(detected != bits))
-    # diagnostic: exact objective of the data weights at the frame's first
-    # data symbol, with the gains actually applied
-    cp0 = compound_params(params, ChannelRealization(h_t[lp], g_t[lp]), alphas)
-    if ctx.objective is Objective.POWER:
-        obj_data = objective_power(w_data, cp0)
-    else:
-        obj_data = objective_snr(w_data, cp0, params.noise_power)
-    result = FrameResult(bit, objective_training, obj_data, detected, errors,
-                         complex(h_for_data))
-    ctx.state = new_state
-    ctx.symbol_cursor += s_total
-    return result
-
-
 # ---------------------------------------------------------------------------
-# batched kernels (one row per realization, identical arithmetic to the
-# per-link operations above)
+# batched kernels (leading axes index links; the arithmetic of each link is
+# that of adaptation.tr_step/pm_step, which tests hold them to bit for bit)
 
 def _objective_batch(objective, w, hbar, gbar, noise_power):
     if objective is Objective.POWER:
@@ -524,6 +302,23 @@ def _pm_batch(w, frame_index, beta, pset, constraint, objective,
     take_minus = j_minus > j_plus
     w_new = np.where(take_minus[..., None], minus, plus)
     return w_new, take_minus
+
+
+def _adapt(cfg, pset, frame_index, w, best, objective, constraint,
+           hbar, gbar, noise_power):
+    """(w, best, bit) after one `cfg.scheme` frame; PM leaves `best` as is."""
+    if cfg.scheme is Scheme.TR:
+        return _tr_batch(w, best, frame_index, cfg.beta, pset, constraint,
+                         objective, hbar, gbar, noise_power,
+                         cfg.forgetting_factor)
+    w, bit = _pm_batch(w, frame_index, cfg.beta, pset, constraint, objective,
+                       hbar, gbar, noise_power)
+    return w, best, bit
+
+
+def _relay_power(constraint, num_relays):
+    """Relay budget P: the unit total under sum power, a 1/R share per relay."""
+    return 1.0 if constraint is ConstraintKind.SUM_POWER else 1.0 / num_relays
 
 
 def _draw_channels(cfg, start, count):
@@ -644,13 +439,8 @@ def _convergence_block(cfg, start, count):
         if n_traj:
             snr_traj[:, k] = ratio[:n_traj]
             gap_traj[:, k] = 1.0 - ratio[:n_traj]
-        if cfg.scheme is Scheme.TR:
-            w, best, bit = _tr_batch(w, best, k, cfg.beta, pset, cfg.constraint,
-                                     cfg.objective, hbar, gbar, noise_power,
-                                     cfg.forgetting_factor)
-        else:
-            w, bit = _pm_batch(w, k, cfg.beta, pset, cfg.constraint,
-                               cfg.objective, hbar, gbar, noise_power)
+        w, best, bit = _adapt(cfg, pset, k, w, best, cfg.objective,
+                              cfg.constraint, hbar, gbar, noise_power)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
     return start, snr_traj, gap_traj, bit_traj, gaps_at
@@ -667,24 +457,15 @@ def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceR
         raise ConfigError("convergence uses a single snr_db_grid entry")
     n = cfg.num_realizations
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
-    parts_snr, parts_gap, parts_bit = [], [], []
+    parts = []
     payloads = ((cfg, start, count) for start, count in _block_ranges(cfg, n))
     for start, snr_t, gap_t, bit_t, gdict in _iter_block_results(
             _convergence_block, payloads, workers):
         for f, arr in gdict.items():
             gaps_at[f][start:start + arr.size] = arr
-        if snr_t.size:
-            parts_snr.append(snr_t)
-            parts_gap.append(gap_t)
-            parts_bit.append(bit_t)
-    if parts_snr:
-        snr = np.vstack(parts_snr)
-        gap = np.vstack(parts_gap)
-        bits = np.vstack(parts_bit)
-    else:
-        snr = np.empty((0, cfg.num_frames))
-        gap = np.empty((0, cfg.num_frames))
-        bits = np.empty((0, cfg.num_frames), dtype=np.int8)
+        parts.append((snr_t, gap_t, bit_t))
+    # blocks past num_trajectories contribute (0, num_frames) arrays
+    snr, gap, bits = (np.vstack(p) for p in zip(*parts))
     return ConvergenceResult(cfg, snr, gap, bits, gaps_at)
 
 
@@ -734,34 +515,25 @@ def _ber_block(cfg, points, start, count):
     noise_power = np.array(
         [10.0 ** (-cfg.snr_db_grid[p] / 10.0) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
-    schemes = cfg.schemes
+    schemes = [(token,) + SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
-    compound = {}
-    for ck, power in ((ConstraintKind.SUM_POWER, 1.0),
-                      (ConstraintKind.PER_RELAY, 1.0 / r)):
-        if any(SCHEME_INFO[t][2] is ck for t in schemes):
-            compound[ck] = _compound_batch(h, g, power, noise_power[..., None])
+    compound = {ck: _compound_batch(h, g, _relay_power(ck, r),
+                                    noise_power[..., None])
+                for ck in {ck for _, _, ck in schemes}}
 
-    weights = []
-    best = []
+    weights, best = [], []
     pset = build_perturbation_set(r, cfg.scheme)
-    for token in schemes:
-        kind, objective, ck = SCHEME_INFO[token]
+    for token, objective, ck in schemes:
         hbar, gbar = compound[ck]
         b = None
-        if kind == "batch":
+        if objective is None:
             w = _batch_oracle(token, hbar, gbar)
         else:
             w = np.tile(init_weights(r, ck).w, (len(points), count, 1))
             b = np.zeros((len(points), count))
             for k in range(cfg.warmup_frames):
-                if cfg.scheme is Scheme.TR:
-                    w, b, _ = _tr_batch(w, b, k, cfg.beta, pset, ck, objective,
-                                        hbar, gbar, noise_power,
-                                        cfg.forgetting_factor)
-                else:
-                    w, _ = _pm_batch(w, k, cfg.beta, pset, ck, objective,
-                                     hbar, gbar, noise_power)
+                w, b, _ = _adapt(cfg, pset, k, w, b, objective, ck,
+                                 hbar, gbar, noise_power)
         weights.append(w)
         best.append(b)
 
@@ -778,27 +550,19 @@ def _ber_block(cfg, points, start, count):
 
     errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
     for f in range(n_frames):
-        for t, token in enumerate(schemes):
-            kind, objective, ck = SCHEME_INFO[token]
+        for t, (token, objective, ck) in enumerate(schemes):
             hbar, gbar = compound[ck]
             w = weights[t]
             a = np.sum(np.conj(w) * hbar, axis=-1)
             sigma = np.sqrt(noise_power
                             * (1.0 + network._noise_gain(w, gbar)))
             y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
-            coef = np.where(a == 0, 1.0 + 0j, np.conj(a))
-            det = (np.real(coef[..., None] * y) < 0).astype(np.int8)
+            det = _detect_bits(y, a)
             errors[:, t] += np.count_nonzero(det != bits[:, f, :], axis=(1, 2))
-            if kind == "pb":
-                k = cfg.warmup_frames + f
-                if cfg.scheme is Scheme.TR:
-                    weights[t], best[t], _ = _tr_batch(
-                        w, best[t], k, cfg.beta, pset, ck, objective,
-                        hbar, gbar, noise_power, cfg.forgetting_factor)
-                else:
-                    weights[t], _ = _pm_batch(
-                        w, k, cfg.beta, pset, ck, objective, hbar, gbar,
-                        noise_power)
+            if objective is not None:
+                weights[t], best[t], _ = _adapt(
+                    cfg, pset, cfg.warmup_frames + f, w, best[t], objective,
+                    ck, hbar, gbar, noise_power)
     return count * n_frames * n_data, points, errors
 
 
@@ -873,6 +637,44 @@ class TrackingResult:
         return dop, ber
 
 
+def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
+                    measured, whole):
+    """One realistic PM frame for every link on the leading axes of `w`.
+
+    `gx` (relay receptions times forward channels, (..., L, R)) and `v`
+    (destination noise, (..., L)) come split into the plus pilot half, the
+    minus pilot half and the data interval; pilots are all ones.  Data is
+    detected with `carry`, the previous frame's winning half estimate (its
+    own winner on frame 0), or with `whole`, the full-interval estimate.
+    Returns (weights, winning half estimate, data estimate, data samples).
+    """
+    alpha = np.sqrt(_relay_power(constraint, w.shape[-1]) / measured)
+    plus = _normalize_batch(w + beta * q, constraint, w)
+    minus = _normalize_batch(w - beta * q, constraint, w)
+    y_p1, y_p2, y_d = (
+        np.sum(gx_seg * (np.conj(ww) * alpha)[..., None, :], axis=-1) + v_seg
+        for gx_seg, ww, v_seg in zip(gx, (plus, minus, w), v))
+    p1, p2 = (np.ones(y.shape[-1], dtype=complex) for y in (y_p1, y_p2))
+    h_plus = estimation._channel_estimate(y_p1, p1)
+    h_minus = estimation._channel_estimate(y_p2, p2)
+    if objective is Objective.POWER:
+        j_plus = np.abs(h_plus) ** 2
+        j_minus = np.abs(h_minus) ** 2
+    else:
+        j_plus = estimation._snr_estimate(h_plus, y_p1, p1)
+        j_minus = estimation._snr_estimate(h_minus, y_p2, p2)
+    take_minus = j_minus > j_plus
+    h_winner = np.where(take_minus, h_minus, h_plus)
+    if whole:
+        h_data = estimation._channel_estimate(
+            np.concatenate([y_p1, y_p2], axis=-1),
+            np.concatenate([p1, p2]))
+    else:
+        h_data = h_winner if carry is None else carry
+    w_new = np.where(take_minus[..., None], minus, plus)
+    return w_new, h_winner, h_data, y_d
+
+
 def _tracking_block(cfg, start, count):
     """Tracking BER of one realization range over the whole grid.
 
@@ -886,8 +688,7 @@ def _tracking_block(cfg, start, count):
     noise_power = 10.0 ** (-cfg.snr_db_grid[0] / 10.0)
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
-    half = lp // 2
-    segments = (slice(0, half), slice(half, lp), slice(lp, s_total))
+    segments = (slice(0, lp // 2), slice(lp // 2, lp), slice(lp, s_total))
     pl = PathLoss(cfg.distances)
     amps = np.concatenate([pl.amplitudes, pl.amplitudes])  # h then g processes
 
@@ -904,12 +705,10 @@ def _tracking_block(cfg, start, count):
     betas = np.array([float(b) for b in cfg.betas])[:, None, None, None]
 
     pset = build_perturbation_set(r, Scheme.PM)
-    schemes = [SCHEME_INFO[token][1:] for token in cfg.schemes]
-    relay_power = {ConstraintKind.SUM_POWER: 1.0,
-                   ConstraintKind.PER_RELAY: 1.0 / r}
+    schemes = [SCHEMES[token] for token in cfg.schemes]
     weights = [np.tile(init_weights(r, ck).w, grid + (1,)) for _, ck in schemes]
     carry = [None] * len(schemes)
-    pilots = np.ones(lp, dtype=complex)
+    whole = cfg.pm_estimation_mode == "whole"
     errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)
     n = np.empty((count, s_total, r), dtype=complex)
     v = np.empty((count, s_total), dtype=complex)
@@ -928,38 +727,15 @@ def _tracking_block(cfg, start, count):
         x = h_t * s[:, :, None] + n                     # source power 1
         measured = np.mean(np.abs(x) ** 2, axis=2)      # (D, count, R)
         gx = [g_t[..., sl, :] * x[..., sl, :] for sl in segments]
+        vs = [v[:, sl] for sl in segments]
         q = pset.column(f)
         for t, (objective, ck) in enumerate(schemes):
-            w = weights[t]                              # (B, D, count, R)
-            alpha = np.sqrt(relay_power[ck] / measured)
-            plus = _normalize_batch(w + betas * q, ck, w)
-            minus = _normalize_batch(w - betas * q, ck, w)
-            y_p1, y_p2, y_d = (
-                np.sum(gx_seg * (np.conj(ww) * alpha)[..., None, :], axis=-1)
-                + v[:, sl]
-                for gx_seg, ww, sl in zip(gx, (plus, minus, w), segments))
-            h_plus = estimation._channel_estimate(y_p1, pilots[:half])
-            h_minus = estimation._channel_estimate(y_p2, pilots[half:])
-            if objective is Objective.POWER:
-                j_plus = np.abs(h_plus) ** 2
-                j_minus = np.abs(h_minus) ** 2
-            else:
-                j_plus = estimation._snr_estimate(h_plus, y_p1, pilots[:half])
-                j_minus = estimation._snr_estimate(h_minus, y_p2,
-                                                   pilots[half:])
-            take_minus = j_minus > j_plus
-            h_winner = np.where(take_minus, h_minus, h_plus)
-            if cfg.pm_estimation_mode == "whole":
-                h_data = estimation._channel_estimate(
-                    np.concatenate([y_p1, y_p2], axis=-1), pilots)
-            else:
-                h_data = carry[t] if carry[t] is not None else h_winner
+            weights[t], carry[t], h_data, y_d = _pm_track_frame(
+                weights[t], carry[t], betas, q, objective, ck, gx, vs,
+                measured, whole)
             if f >= cfg.warmup_frames:
-                coef = np.where(h_data == 0, 1.0 + 0j, np.conj(h_data))
-                det = (np.real(coef[..., None] * y_d) < 0).astype(np.int8)
-                errors[t] += np.count_nonzero(det != bits, axis=(-2, -1))
-            weights[t] = np.where(take_minus[..., None], minus, plus)
-            carry[t] = h_winner
+                errors[t] += np.count_nonzero(
+                    _detect_bits(y_d, h_data) != bits, axis=(-2, -1))
     return count * cfg.num_frames * ld, errors
 
 
@@ -978,10 +754,14 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
     if len(cfg.snr_db_grid) != 1:
         raise ConfigError("tracking uses a single snr_db_grid entry")
     cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_TRACKING_SCHEMES))
-    bad = [t for t in cfg.schemes if SCHEME_INFO[t][0] != "pb"]
+    bad = [t for t in cfg.schemes if SCHEMES[t][0] is None]
     if bad:
         raise ConfigError("tracking supports adaptive schemes only, got %r" % bad)
-    cfg.frame_config().validate_for(Scheme.PM)
+    if cfg.num_pilots < 4 \
+            and any(SCHEMES[t][0] is Objective.SNR for t in cfg.schemes):
+        # one pilot per half leaves no residual: every probe scores SNR_MAX
+        raise ConfigError("SNR-objective tracking needs num_pilots >= 4, "
+                          "at least 2 pilots per half")
     payloads = ((cfg, start, count)
                 for start, count in _block_ranges(cfg, cfg.num_realizations))
     bits_total = 0

@@ -91,11 +91,6 @@ def compound_params(params, chan, alphas) -> CompoundParams:
     return CompoundParams(hbar, gbar)
 
 
-def simulate_symbol(params, chan, alphas, w: BeamVector, s, rng) -> complex:
-    """Propagate one symbol through the full relay chain with fresh noise."""
-    return complex(simulate_symbols(params, chan, alphas, w, np.asarray([s]), rng)[0])
-
-
 def simulate_symbols(params, chan, alphas, w: BeamVector, symbols, rng) -> np.ndarray:
     """Vectorized relay-chain simulation of a symbol block.
 

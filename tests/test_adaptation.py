@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relaybf.adaptation import (BeamVector, ConstraintKind, Scheme,
-                                build_perturbation_set, candidate_pair,
+from relaybf.adaptation import (CONSTRAINT_TOL, BeamVector, ConstraintKind,
+                                Scheme, build_perturbation_set, candidate_pair,
                                 dft_matrix, init_pm_state, init_tr_state,
                                 init_weights, normalize, perturb_vector,
                                 pm_perturb, pm_step, tr_perturb, tr_step)
@@ -47,6 +49,18 @@ def test_normalize_zero_falls_back_to_previous():
     w = normalize(np.array([0.0, 5.0]), PER, prev_per)
     # only the vanished coordinate falls back
     np.testing.assert_allclose(w.w, [1.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(max_examples=300)
+@given(raw=st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=6),
+       constraint=st.sampled_from([SUM, PER]))
+def test_normalize_output_is_feasible(raw, constraint):
+    # any finite raw update, from all zeros to entries whose squares
+    # overflow, projects onto the constraint set
+    w = normalize(np.array(raw), constraint, init_weights(len(raw), constraint))
+    assert w.feasibility_error() < CONSTRAINT_TOL
 
 
 def test_dft_matrix_is_unitary():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0
 
 from relaybf.channel import (JakesBank, PathLoss, ChannelRealization,
-                             complex_normal, jakes_init, jakes_sample,
-                             jakes_sample_block, sample_static_rayleigh,
-                             sample_static_rayleigh_batch)
+                             complex_normal, sample_static_rayleigh)
 
 
 def test_complex_normal_moments():
@@ -47,8 +47,10 @@ def test_channel_realization_shape_checks():
 
 def test_static_rayleigh_statistics():
     pl = PathLoss([1.0, 3.0, 5.0])
-    rng = np.random.default_rng(2)
-    h, g = sample_static_rayleigh_batch(rng, pl, 200_000)
+    # one draw over 200000 copies of the three relays
+    chan = sample_static_rayleigh(np.random.default_rng(2),
+                                  PathLoss(np.tile(pl.distances, 200_000)))
+    h, g = chan.h.reshape(-1, 3), chan.g.reshape(-1, 3)
     np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), pl.variances,
                                rtol=0.03)
     np.testing.assert_allclose(np.mean(np.abs(g) ** 2, axis=0), pl.variances,
@@ -64,54 +66,76 @@ def test_static_rayleigh_single_draw_shape():
     assert chan.h.shape == (2,) and chan.g.shape == (2,)
 
 
-def test_jakes_init_validation():
+def test_jakes_bank_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        jakes_init(rng, -0.1, 1.0)
+        JakesBank.draw(rng, (), -0.1, 1.0)
     with pytest.raises(ValueError):
-        jakes_init(rng, 0.1, 1.0, num_oscillators=4)
-    state = jakes_init(rng, 0.05, 2.0, symbols_per_frame=50)
-    assert state.num_oscillators == 32
-    assert state.doppler_per_symbol == pytest.approx(0.001)
+        JakesBank.draw(rng, (), 0.1, 1.0, num_oscillators=4)
+    with pytest.raises(ValueError):
+        JakesBank.draw(rng, (), 0.1, 1.0, symbols_per_frame=0)
+    bank = JakesBank.draw(rng, (), 0.05, 2.0, symbols_per_frame=50)
+    assert bank.phases.shape == (32,)
+    assert bank.num_oscillators == 32
+    assert bank.doppler_per_symbol == pytest.approx(0.001)
 
 
 def test_jakes_zero_doppler_is_constant():
-    state = jakes_init(np.random.default_rng(4), 0.0, 1.0)
-    block = jakes_sample_block(state, 0, 100)
+    bank = JakesBank.draw(np.random.default_rng(4), (), 0.0, 1.0)
+    block = bank.block(0, 100)
+    assert block.shape == (100,)
     assert np.allclose(block, block[0])
 
 
-def test_jakes_block_continuity():
-    rng = np.random.default_rng(5)
-    a = jakes_init(rng, 0.3, 1.5, symbols_per_frame=10)
-    b = a.__class__(a.oscillator_phases.copy(), a.oscillator_angles.copy(),
-                    a.normalized_doppler, a.amplitude, a.symbols_per_frame)
-    whole = jakes_sample_block(a, 0, 64)
-    first = jakes_sample_block(b, 0, 32)
-    second = jakes_sample_block(b, 32, 32)
-    np.testing.assert_allclose(np.concatenate([first, second]), whole,
-                               atol=1e-12)
+@settings(max_examples=100)
+@given(cuts=st.lists(st.integers(1, 63), max_size=6),
+       doppler=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_jakes_block_continuity(cuts, doppler, seed):
+    # any split of [0, n) into consecutive blocks gives the same samples
+    n = 64
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (3, 32))
+    whole = JakesBank(phases, doppler, 1.5, symbols_per_frame=10).block(0, n)
+    bank = JakesBank(phases, doppler, 1.5, symbols_per_frame=10)
+    edges = sorted(set(cuts) | {0, n})
+    parts = [bank.block(a, b - a) for a, b in zip(edges, edges[1:])]
+    np.testing.assert_allclose(np.concatenate(parts, axis=-1), whole,
+                               rtol=0, atol=1e-12)
 
 
 def test_jakes_clock_must_advance():
-    state = jakes_init(np.random.default_rng(6), 0.1, 1.0)
-    jakes_sample_block(state, 0, 20)
+    bank = JakesBank.draw(np.random.default_rng(6), (), 0.1, 1.0)
+    bank.block(0, 20)
     with pytest.raises(ValueError):
-        jakes_sample_block(state, 10, 5)
+        bank.block(10, 5)
     # re-sampling from the last emitted index is allowed
-    jakes_sample(state, 19)
+    bank.block(19, 1)
 
 
-def test_jakes_bank_matches_scalar_process():
-    rng = np.random.default_rng(7)
-    bank = JakesBank.draw(rng, (4,), 0.2, 2.0, symbols_per_frame=25)
-    block = bank.block(0, 40)
-    for i in range(4):
-        state = jakes_init(np.random.default_rng(99), 0.2, 2.0,
-                           symbols_per_frame=25)
-        state.oscillator_phases = bank.phases[i]
-        np.testing.assert_allclose(jakes_sample_block(state, 0, 40), block[i],
-                                   atol=1e-10)
+@settings(max_examples=100)
+@given(shape=st.sampled_from([(), (3,), (2, 2)]), m=st.integers(8, 40),
+       doppler=st.floats(0.0, 0.5), amplitude=st.floats(0.1, 3.0),
+       symbols_per_frame=st.integers(1, 60), start=st.integers(0, 500),
+       count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_jakes_bank_matches_scalar_process(shape, m, doppler, amplitude,
+                                           symbols_per_frame, start, count,
+                                           seed):
+    # every process, the single one of phases shaped (M,) included, is
+    # amplitude/sqrt(M) * sum_m exp(j(omega_m t + phi_m)) with the
+    # oscillator angles on the midpoint grid of the half circle
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi,
+                                                 shape + (m,))
+    bank = JakesBank(phases, doppler, amplitude, symbols_per_frame)
+    block = bank.block(start, count)
+    assert block.shape == shape + (count,)
+    angles = np.pi * (np.arange(m) + 0.5) / m
+    omega = 2.0 * np.pi * doppler / symbols_per_frame * np.cos(angles)
+    for idx in np.ndindex(*shape):
+        ref = np.zeros(count, dtype=complex)
+        for k, t in enumerate(range(start, start + count)):
+            for i in range(m):
+                ref[k] += np.exp(1j * (omega[i] * t + phases[idx][i]))
+        ref *= amplitude / np.sqrt(m)
+        np.testing.assert_allclose(block[idx], ref, rtol=0, atol=1e-10)
 
 
 def test_jakes_bank_amplitude_broadcast():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from relaybf.cli import main
+from relaybf.engine import ConvergenceResult
 
 CONV_CFG = {
     "scenario": "idealized", "scheme": "pm", "objective": "snr",
@@ -108,6 +109,24 @@ def test_convergence_outputs_and_overwrite_guard(tmp_path, capsys):
     assert (out / "trajectories.csv").read_bytes() == first
 
 
+def test_failed_rerun_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
+    cfg = _cfg_file(tmp_path, CONV_CFG)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_rows(self):
+        yield (0, 0, 1.0, 0.0, 0)
+        raise RuntimeError("row generator failed")
+
+    monkeypatch.setattr(ConvergenceResult, "trajectory_rows", failing_rows)
+    assert main(["convergence", "--config", cfg, "--out", str(out),
+                 "--force"]) == 2
+    assert "row generator failed" in capsys.readouterr().err
+    # the same files with the same bytes, and no temp file left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_convergence_worker_count_does_not_change_bytes(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, CONV_CFG)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -157,6 +176,16 @@ def test_tracking_rejects_mismatched_scenario(tmp_path, capsys):
     assert main(["tracking", "--config", cfg,
                  "--out", str(tmp_path / "t")]) == 1
     capsys.readouterr()
+
+
+def test_tracking_snr_objective_needs_two_pilots_per_half(tmp_path, capsys):
+    # with one pilot per half both SNR probes hit the cap and tie forever
+    cfg = _cfg_file(tmp_path, {**TRACK_CFG, "num_pilots": 2})
+    assert main(["tracking", "--config", cfg,
+                 "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "num_pilots" in err
 
 
 def test_oracle_check_passes(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for the frame loop, the batched kernels, and the experiment runners."""
+"""Tests for the batched frame kernels and the experiment runners."""
 
 import concurrent.futures
 import operator
@@ -6,33 +6,38 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaybf import engine
 from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
     build_perturbation_set,
+    candidate_pair,
+    init_pm_state,
+    init_tr_state,
     init_weights,
+    pm_perturb,
     pm_step,
+    tr_perturb,
     tr_step,
 )
-from relaybf.channel import PathLoss, sample_static_rayleigh
+from relaybf.channel import JakesBank, complex_normal
 from relaybf.engine import (
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
-    FrameConfig,
     Objective,
     Scenario,
-    bpsk_detect,
-    bpsk_modulate,
-    make_link,
     run_ber_experiment,
     run_convergence_experiment,
-    run_frame,
     run_tracking_experiment,
     snr_at_ber,
 )
-from relaybf.network import NetworkParams
+from relaybf.estimation import (PilotBlock, estimate_compound_channel,
+                                estimate_snr)
+from relaybf.network import CompoundParams, objective_power, objective_snr
 
 
 def test_config_defaults_and_coercion():
@@ -92,105 +97,116 @@ def test_config_converts_integral_floats():
     assert cfg.cdf_frames == [10] and type(cfg.cdf_frames[0]) is int
 
 
-def test_frame_config_pm_split():
-    with pytest.raises(ValueError):
-        FrameConfig(num_pilots=5).validate_for(Scheme.PM)
-    assert FrameConfig(10, 40).symbols_per_frame == 50
-
-
 def test_bpsk_mapping():
-    np.testing.assert_array_equal(bpsk_modulate([0, 1, 0]), [1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        bpsk_modulate([0, 2])
-    assert bpsk_detect(0.3 + 1j, 1.0 + 0j) == 0
-    assert bpsk_detect(-0.3 + 1j, 1.0 + 0j) == 1
-    # detection rotates by the channel phase
-    assert bpsk_detect(1.0j, 1.0j) == 0
-    assert bpsk_detect(-0.2, 0.0) == 1  # zero estimate falls back to Re(y)
-
-
-def _static_link(scheme, objective, constraint, *, snr_db=18.0, seed=0,
-                 beta=0.1, forgetting_factor=1.0):
-    noise = 10.0 ** (-snr_db / 10.0)
-    params = NetworkParams(3, 1.0, 1.0, noise)
-    rng = np.random.default_rng(seed)
-    chan = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
-    return make_link(params, scheme, objective, constraint, beta, rng,
-                     scenario=Scenario.IDEALIZED, chan=chan,
-                     forgetting_factor=forgetting_factor)
+    # bit 0 is sent as +1 and bit 1 as -1; the detector inverts that mapping
+    bits = np.array([[0, 1, 0, 1]])
+    np.testing.assert_array_equal(engine._detect_bits(1.0 - 2.0 * bits, 1.0),
+                                  bits)
+    y = np.array([0.3 + 1j, -0.3 + 1j, 1.0j, -0.2])
+    h_hat = np.array([1.0, 1.0, 1.0j, 0.0])
+    # detection rotates by the channel phase; a zero estimate falls back
+    # to the sign of Re(y)
+    det = engine._detect_bits(y[:, None], h_hat)
+    np.testing.assert_array_equal(det, [[0], [1], [0], [1]])
+    assert det.dtype == np.int8
 
 
 def test_idealized_tr_objective_is_monotone():
-    ctx = _static_link(Scheme.TR, Objective.SNR, ConstraintKind.SUM_POWER)
-    rng = np.random.default_rng(99)
-    results = [run_frame(ctx, rng.integers(0, 2, size=40)) for _ in range(120)]
-    assert results[0].feedback_bit == 1  # stored best starts at zero
-    objs = [res.objective_data for res in results]
-    assert all(b >= a - 1e-12 for a, b in zip(objs, objs[1:]))
+    cfg = ExperimentConfig(scheme="tr", num_realizations=32, num_frames=120,
+                           num_trajectories=32, cdf_frames=[0, 120],
+                           block_size=16, seed=4)
+    res = run_convergence_experiment(cfg)
+    assert np.all(res.feedback_bits[:, 0] == 1)  # stored best starts at zero
+    assert np.all(np.diff(res.snr_normalized, axis=1) >= 0.0)
 
 
 def test_idealized_pm_closes_most_of_the_gap():
-    ctx = _static_link(Scheme.PM, Objective.SNR, ConstraintKind.SUM_POWER)
-    rng = np.random.default_rng(99)
-    first = run_frame(ctx, rng.integers(0, 2, size=40))
-    assert first.feedback_bit == 0  # both frame-0 probes coincide with w0
-    for _ in range(150):
-        last = run_frame(ctx, rng.integers(0, 2, size=40))
-    assert last.objective_data > 3.0 * first.objective_data
+    cfg = ExperimentConfig(scheme="pm", num_realizations=32, num_frames=150,
+                           num_trajectories=32, cdf_frames=[0, 150],
+                           block_size=16, seed=4)
+    res = run_convergence_experiment(cfg)
+    # both frame-0 probes equal the start vector up to rounding
+    np.testing.assert_allclose(res.snr_normalized[:, 1],
+                               res.snr_normalized[:, 0], rtol=1e-12)
+    start = np.median(res.gaps_at_frames[0])
+    assert np.median(res.gaps_at_frames[150]) < 0.05 * start
 
 
 def test_noiseless_link_detects_without_errors():
-    params = NetworkParams(3, 1.0, 1.0, 0.0)
-    rng = np.random.default_rng(4)
-    chan = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
-    ctx = make_link(params, Scheme.PM, Objective.POWER,
-                    ConstraintKind.SUM_POWER, 0.1, rng,
-                    scenario=Scenario.IDEALIZED, chan=chan)
-    for _ in range(10):
-        res = run_frame(ctx, rng.integers(0, 2, size=40))
-        assert res.bit_errors == 0
-
-
-def _batch_inputs(seed=3, snr_db=18.0):
-    rng = np.random.default_rng(seed)
-    chan = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
-    noise = 10.0 ** (-snr_db / 10.0)
-    hbar, gbar = engine._compound_batch(chan.h[None, :], chan.g[None, :],
-                                        1.0, noise)
-    return chan, hbar, gbar, noise
+    # at 200 dB the noise cannot flip a bit: every scheme detects exactly
+    cfg = ExperimentConfig(scheme="pm", snr_db_grid=[200.0],
+                           schemes=list(SCHEMES), num_realizations=16,
+                           num_frames=5, warmup_frames=20, block_size=8,
+                           error_target=10**9)
+    rows = run_ber_experiment(cfg).rows
+    assert len(rows) == len(SCHEMES)
+    assert all(row.errors == 0 and row.bits == 16 * 5 * 40 for row in rows)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.TR, Scheme.PM])
-def test_batched_kernels_match_scalar_path(scheme):
+@settings(max_examples=100)
+@given(r=st.integers(1, 6), beta=st.floats(0.01, 2.0),
+       constraint=st.sampled_from(list(ConstraintKind)),
+       objective=st.sampled_from(list(Objective)),
+       forgetting=st.floats(0.5, 1.0), snr_db=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+# the start vector and both frame-0 probes are bitwise equal here
+@example(r=4, beta=0.5, constraint=ConstraintKind.SUM_POWER,
+         objective=Objective.SNR, forgetting=1.0, snr_db=18.0, seed=0)
+def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
+                                           objective, forgetting, snr_db,
+                                           seed):
     # The batch kernels and the per-link step functions must agree bitwise:
     # the distributed agents rely on it.
-    chan, hbar, gbar, noise = _batch_inputs()
-    from relaybf.adaptation import init_pm_state, init_tr_state, pm_perturb, tr_perturb
-    from relaybf.network import CompoundParams, objective_snr
-
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** (-snr_db / 10.0)
+    hbar, gbar = engine._compound_batch(
+        complex_normal(rng, (1, r)), complex_normal(rng, (1, r)),
+        engine._relay_power(constraint, r), noise)
     cp = CompoundParams(hbar[0], gbar[0])
-    pset = build_perturbation_set(3, scheme)
-    w = init_weights(3, ConstraintKind.SUM_POWER).w[None, :].copy()
+
+    def measure(v):
+        # the kernel's own objective, so that the state machines are
+        # compared bit for bit; the scalar objective functions sum in
+        # another order and may differ from it in the last place
+        j = engine._objective_batch(objective, v.w[None, :], hbar, gbar,
+                                    noise)[0]
+        scalar = objective_power(v, cp) if objective is Objective.POWER \
+            else objective_snr(v, cp, noise)
+        assert j == pytest.approx(scalar, rel=1e-12)
+        return float(j)
+
+    pset = build_perturbation_set(r, scheme)
+    w = init_weights(r, constraint).w[None, :].copy()
     best = np.zeros(1)
-    state = init_tr_state(3, ConstraintKind.SUM_POWER) if scheme is Scheme.TR \
-        else init_pm_state(3, ConstraintKind.SUM_POWER)
-    for k in range(50):
+    if scheme is Scheme.TR:
+        state = init_tr_state(r, constraint, forgetting)
+    else:
+        state = init_pm_state(r, constraint)
+    for k in range(30):
         if scheme is Scheme.TR:
-            cand = tr_perturb(state, 0.1, pset)
-            state, bit = tr_step(state, cand, objective_snr(cand, cp, noise))
+            cand = tr_perturb(state, beta, pset)
+            state, bit = tr_step(state, cand, measure(cand))
             w, best, take = engine._tr_batch(
-                w, best, k, 0.1, pset, ConstraintKind.SUM_POWER,
-                Objective.SNR, hbar, gbar, noise, 1.0)
-            assert int(take[0]) == bit
+                w, best, k, beta, pset, constraint, objective, hbar, gbar,
+                noise, forgetting)
+            assert best[0] == state.best_objective
+            if k == 0:
+                assert bit == 1  # the stored best starts at zero
         else:
-            plus, minus = pm_perturb(state, 0.1, pset)
-            state, bit = pm_step(state, plus, minus,
-                                 objective_snr(plus, cp, noise),
-                                 objective_snr(minus, cp, noise))
-            w, take = engine._pm_batch(
-                w, k, 0.1, pset, ConstraintKind.SUM_POWER,
-                Objective.SNR, hbar, gbar, noise)
-            assert int(take[0]) == bit
+            plus, minus = pm_perturb(state, beta, pset)
+            state, bit = pm_step(state, plus, minus, measure(plus),
+                                 measure(minus))
+            w, take = engine._pm_batch(w, k, beta, pset, constraint,
+                                       objective, hbar, gbar, noise)
+            if k == 0:
+                # the first direction is parallel to the start vector, so
+                # the probes tie up to rounding; an exact tie keeps plus
+                assert measure(plus) == pytest.approx(measure(minus),
+                                                      rel=1e-12)
+                if np.array_equal(plus.w, minus.w):
+                    assert bit == 0
+        assert int(take[0]) == bit
         assert np.array_equal(w[0], state.w_data.w)
 
 
@@ -423,78 +439,86 @@ def test_tracking_rejects_wrong_setup():
     with pytest.raises(ConfigError):
         run_tracking_experiment(
             ExperimentConfig(**{**TRACK_CFG, "schemes": ["egc"]}))
+    # one pilot per half leaves no residual to estimate an SNR from
+    with pytest.raises(ConfigError, match="num_pilots"):
+        run_tracking_experiment(ExperimentConfig(**{
+            **TRACK_CFG, "schemes": ["pb-egc", "pb-s-sp"], "num_pilots": 2}))
+    # the power objective needs no residual
+    res = run_tracking_experiment(ExperimentConfig(**{
+        **TRACK_CFG, "schemes": ["pb-egc"], "num_pilots": 2}))
+    assert [r.scheme for r in res.rows] == ["pb-egc", "pb-egc"]
 
 
-def _realistic_link(pm_estimation_mode="split", noise=1e-3, seed=8):
-    from relaybf.channel import JakesBank
+SUM = ConstraintKind.SUM_POWER
 
-    params = NetworkParams(2, 1.0, 1.0, noise)
-    rng = np.random.default_rng(seed)
-    bank = JakesBank.draw(rng, (4,), 0.01, np.ones(4), symbols_per_frame=50)
-    return make_link(params, Scheme.PM, Objective.SNR,
-                     ConstraintKind.SUM_POWER, 0.1, rng,
-                     scenario=Scenario.REALISTIC, jakes=bank,
-                     pm_estimation_mode=pm_estimation_mode)
+
+def _frame_inputs(bank, frame, rng, noise, num_pilots=10, num_data=40):
+    """One link's frame as `_tracking_block` feeds `_pm_track_frame`."""
+    r = bank.phases.shape[-2] // 2
+    s_total = num_pilots + num_data
+    coeff = bank.block(frame * s_total, s_total)       # (1, 2R, S)
+    h_t = coeff[:, :r].transpose(0, 2, 1)               # (1, S, R)
+    g_t = coeff[:, r:].transpose(0, 2, 1)
+    bits = rng.integers(0, 2, size=(1, num_data))
+    s = np.concatenate([np.ones((1, num_pilots)), 1.0 - 2.0 * bits], axis=1)
+    x = h_t * s[:, :, None] + complex_normal(rng, (1, s_total, r), noise)
+    v = complex_normal(rng, (1, s_total), noise)
+    half = num_pilots // 2
+    segments = (slice(0, half), slice(half, num_pilots),
+                slice(num_pilots, s_total))
+    return ([g_t[:, sl] * x[:, sl] for sl in segments],
+            [v[:, sl] for sl in segments], np.mean(np.abs(x) ** 2, axis=1))
 
 
 def test_realistic_pm_detection_uses_previous_winner():
     # split mode: the data interval of frame k+1 is detected with the
     # estimate that won frame k; frame 0 bootstraps from its own winner.
-    ctx = _realistic_link()
-    rng = np.random.default_rng(17)
-    res0 = run_frame(ctx, rng.integers(0, 2, size=40))
-    assert res0.h_hat_used == ctx.stored_h_hat  # bootstrap
-    prev_winner = ctx.stored_h_hat
-    for _ in range(4):
-        res = run_frame(ctx, rng.integers(0, 2, size=40))
-        assert res.h_hat_used == prev_winner
-        prev_winner = ctx.stored_h_hat
+    rng = np.random.default_rng(8)
+    bank = JakesBank.draw(rng, (1, 4), 0.01, 1.0)
+    pset = build_perturbation_set(2, Scheme.PM)
+    w = init_weights(2, SUM)
+    ws, carry = w.w[None, :], None
+    for f in range(6):
+        gx, v, measured = _frame_inputs(bank, f, rng, 1e-3)
+        ws, winner, h_data, _ = engine._pm_track_frame(
+            ws, carry, 0.1, pset.column(f), Objective.SNR, SUM, gx, v,
+            measured, False)
+        # the same frame through the scalar candidates and estimators
+        alpha = np.sqrt(1.0 / measured[0])
+        probes = candidate_pair(w, f, 0.1, pset)
+        blocks = [PilotBlock(np.ones(5), np.sum(
+            gx[i][0] * (np.conj(c.w) * alpha)[None, :], axis=-1) + v[i][0])
+            for i, c in enumerate(probes)]
+        halves = [estimate_compound_channel(b) for b in blocks]
+        won = int(estimate_snr(halves[1], blocks[1])
+                  > estimate_snr(halves[0], blocks[0]))
+        w = probes[won]
+        np.testing.assert_array_equal(ws[0], w.w)
+        assert winner[0] == pytest.approx(halves[won], rel=1e-12)
+        assert h_data[0] == (winner[0] if carry is None else carry[0])
+        carry = winner
 
 
 def test_realistic_pm_whole_mode_averages_the_halves():
     # zero noise, zero Doppler: both pilot halves are exact, so the
     # whole-interval estimate is the mean of the two half estimates.
-    from relaybf.channel import JakesBank
-
-    params = NetworkParams(2, 1.0, 1.0, 0.0)
     rng = np.random.default_rng(8)
-    bank = JakesBank.draw(rng, (4,), 0.0, np.ones(4), symbols_per_frame=50)
-    ctx = make_link(params, Scheme.PM, Objective.POWER,
-                    ConstraintKind.SUM_POWER, 0.1, rng,
-                    scenario=Scenario.REALISTIC, jakes=bank,
-                    pm_estimation_mode="whole")
-    coeff = bank.block(0, 1)[:, 0]
+    bank = JakesBank.draw(rng, (1, 4), 0.0, 1.0)
+    coeff = bank.block(0, 1)[0, :, 0]
     h, g = coeff[:2], coeff[2:]
-    alphas = np.sqrt(1.0 / np.abs(h) ** 2)
-    res = run_frame(ctx, np.zeros(40, dtype=int))
-    w0 = init_weights(2, ConstraintKind.SUM_POWER)
+    gx, v, measured = _frame_inputs(bank, 0, rng, 0.0)
     pset = build_perturbation_set(2, Scheme.PM)
-    from relaybf.adaptation import candidate_pair
-    plus, minus = candidate_pair(w0, 0, 0.1, pset)
-    a = lambda w: np.sum(np.conj(w.w) * g * alphas * h)
-    assert res.h_hat_used == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)
-
-
-def test_realistic_tr_keeps_estimate_until_take():
-    # TR: the stored estimate only moves on a take.
-    from relaybf.channel import JakesBank
-
-    params = NetworkParams(2, 1.0, 1.0, 1e-3)
-    rng = np.random.default_rng(12)
-    bank = JakesBank.draw(rng, (4,), 0.005, np.ones(4), symbols_per_frame=50)
-    ctx = make_link(params, Scheme.TR, Objective.SNR,
-                    ConstraintKind.SUM_POWER, 0.1, rng,
-                    scenario=Scenario.REALISTIC, jakes=bank)
-    stored = None
-    for _ in range(12):
-        res = run_frame(ctx, rng.integers(0, 2, size=40))
-        if stored is not None:
-            assert res.h_hat_used == stored
-        if res.feedback_bit:
-            assert ctx.stored_h_hat != stored
-        elif stored is not None:
-            assert ctx.stored_h_hat == stored
-        stored = ctx.stored_h_hat
+    w0 = init_weights(2, SUM)
+    # column 1 is not aligned with w0, so the two halves differ
+    _, winner, h_data, _ = engine._pm_track_frame(
+        w0.w[None, :], np.array([7.0 + 0j]), 0.1, pset.column(1),
+        Objective.POWER, SUM, gx, v, measured, True)
+    plus, minus = candidate_pair(w0, 1, 0.1, pset)
+    a = lambda c: np.sum(np.conj(c.w) * g * h / np.abs(h))
+    assert a(plus) != pytest.approx(a(minus), rel=1e-3)
+    assert h_data[0] == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)
+    assert winner[0] == pytest.approx(max(a(plus), a(minus), key=abs),
+                                      rel=1e-12)
 
 
 def test_snr_at_ber_interpolation():

@@ -6,7 +6,7 @@ from relaybf.channel import (ChannelRealization, PathLoss, complex_normal,
                              sample_static_rayleigh)
 from relaybf.network import (CompoundParams, NetworkParams, compound_params,
                              ideal_relay_gains, objective_power, objective_snr,
-                             relay_gain, simulate_symbol, simulate_symbols)
+                             relay_gain, simulate_symbols)
 from relaybf import network
 
 
@@ -82,16 +82,6 @@ def test_noiseless_chain_equals_compound_model():
     y = simulate_symbols(params, chan, alphas, w, symbols, rng)
     expected = np.vdot(w.w, cp.hbar) * symbols
     np.testing.assert_allclose(y, expected, rtol=1e-12)
-
-
-def test_simulate_symbol_matches_block_semantics():
-    params = NetworkParams(2, 1.0, 1.0, 0.0)
-    chan = ChannelRealization([1.0, 2.0], [1.0, 0.5])
-    alphas = np.array([1.0, 1.0])
-    w = _sum_vec(np.array([1.0, 0.0]))
-    y = simulate_symbol(params, chan, alphas, w, 1.0, np.random.default_rng(1))
-    assert y == pytest.approx(np.vdot(w.w, compound_params(
-        params, chan, alphas).hbar), rel=1e-12)
 
 
 def test_average_relay_transmit_power_matches_budget():
