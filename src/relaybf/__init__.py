@@ -9,10 +9,9 @@ from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, PmState,
 from .channel import (ChannelRealization, JakesBank, PathLoss, complex_normal,
                       sample_static_rayleigh)
 from .engine import (BerResult, BerRow, ConfigError, ConvergenceResult,
-                     ExperimentConfig, Objective, Scenario, TrackingResult,
-                     TrackingRow, run_ber_experiment,
-                     run_convergence_experiment, run_tracking_experiment,
-                     snr_at_ber)
+                     ExperimentConfig, Objective, TrackingResult, TrackingRow,
+                     run_ber_experiment, run_convergence_experiment,
+                     run_tracking_experiment, snr_at_ber)
 from .estimation import (PilotBlock, estimate_compound_channel, estimate_power,
                          estimate_snr)
 from .membership import (BirthMessage, DeathMessage, ProtocolError,

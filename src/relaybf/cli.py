@@ -128,9 +128,12 @@ def _write_json(path, data):
     _atomic_write(path, write)
 
 
-def _prepare_out(args, filenames):
-    os.makedirs(args.out, exist_ok=True)
-    existing = [name for name in filenames
+def _prepare_out(args, csv_files):
+    """Refuse to overwrite outputs without --force.  Creates nothing, so a
+    run that the engine rejects leaves no output directory behind."""
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise RuntimeError("--out is not a directory: %s" % args.out)
+    existing = [name for name in csv_files + ["config.json", "manifest.json"]
                 if os.path.exists(os.path.join(args.out, name))]
     if existing and not args.force:
         raise RuntimeError(
@@ -138,13 +141,18 @@ def _prepare_out(args, filenames):
             % ", ".join(sorted(existing)))
 
 
-def _write_common(args, command, cfg, csv_files):
+def _write_outputs(args, command, cfg, csvs):
+    """Write each (file name, header, rows) CSV, then config.json and the
+    manifest."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, header, rows in csvs:
+        _write_csv(os.path.join(args.out, name), header, rows)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
         "workers": args.workers,
-        "outputs": sorted(csv_files),
+        "outputs": sorted(name for name, _, _ in csvs),
         "config": cfg.to_dict(),
     }
     _write_json(os.path.join(args.out, "config.json"), cfg.to_dict())
@@ -154,17 +162,14 @@ def _write_common(args, command, cfg, csv_files):
 
 def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
-    files = ["trajectories.csv", "gap_cdf.csv", "config.json", "manifest.json"]
-    _prepare_out(args, files)
+    _prepare_out(args, ["trajectories.csv", "gap_cdf.csv"])
     result = engine.run_convergence_experiment(cfg, workers=args.workers)
-    _write_csv(os.path.join(args.out, "trajectories.csv"),
-               ["realization", "frame", "snr_normalized", "gap",
-                "feedback_bit"],
-               result.trajectory_rows())
-    _write_csv(os.path.join(args.out, "gap_cdf.csv"),
-               ["frames", "gap_threshold", "fraction"],
-               result.cdf_rows())
-    _write_common(args, "convergence", result.config, files[:2])
+    _write_outputs(args, "convergence", result.config, [
+        ("trajectories.csv",
+         ["realization", "frame", "snr_normalized", "gap", "feedback_bit"],
+         result.trajectory_rows()),
+        ("gap_cdf.csv", ["frames", "gap_threshold", "fraction"],
+         result.cdf_rows())])
     print("convergence: %d realizations, %d frames -> %s"
           % (cfg.num_realizations, cfg.num_frames, args.out))
     return 0
@@ -172,14 +177,12 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_ber(args) -> int:
     cfg = _load_config(args)
-    files = ["ber.csv", "config.json", "manifest.json"]
-    _prepare_out(args, files)
+    _prepare_out(args, ["ber.csv"])
     result = engine.run_ber_experiment(cfg, workers=args.workers)
-    _write_csv(os.path.join(args.out, "ber.csv"),
-               ["scheme", "snr_db", "bits", "errors", "ber"],
-               [(r.scheme, r.snr_db, r.bits, r.errors, r.ber)
-                for r in result.rows])
-    _write_common(args, "ber", result.config, files[:1])
+    _write_outputs(args, "ber", result.config, [
+        ("ber.csv", ["scheme", "snr_db", "bits", "errors", "ber"],
+         [(r.scheme, r.snr_db, r.bits, r.errors, r.ber)
+          for r in result.rows])])
     for r in result.rows:
         print("ber: scheme=%s snr_db=%s bits=%d errors=%d ber=%s"
               % (r.scheme, _fmt(r.snr_db), r.bits, r.errors, _fmt(r.ber)))
@@ -188,15 +191,13 @@ def _cmd_ber(args) -> int:
 
 def _cmd_tracking(args) -> int:
     cfg = _load_config(args)
-    files = ["tracking.csv", "config.json", "manifest.json"]
-    _prepare_out(args, files)
+    _prepare_out(args, ["tracking.csv"])
     result = engine.run_tracking_experiment(cfg, workers=args.workers)
-    _write_csv(os.path.join(args.out, "tracking.csv"),
-               ["scheme", "beta", "normalized_doppler", "bits", "errors",
-                "ber"],
-               [(r.scheme, r.beta, r.normalized_doppler, r.bits, r.errors,
-                 r.ber) for r in result.rows])
-    _write_common(args, "tracking", result.config, files[:1])
+    _write_outputs(args, "tracking", result.config, [
+        ("tracking.csv",
+         ["scheme", "beta", "normalized_doppler", "bits", "errors", "ber"],
+         [(r.scheme, r.beta, r.normalized_doppler, r.bits, r.errors, r.ber)
+          for r in result.rows])])
     for r in result.rows:
         print("tracking: scheme=%s beta=%s doppler=%s bits=%d errors=%d ber=%s"
               % (r.scheme, _fmt(r.beta), _fmt(r.normalized_doppler), r.bits,
@@ -208,7 +209,7 @@ def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
     path_loss = PathLoss(cfg.distances)
     params = network.NetworkParams(cfg.num_relays, 1.0, 1.0,
-                                   10.0 ** (-cfg.snr_db_grid[0] / 10.0))
+                                   engine._noise_power(cfg.snr_db_grid[0]))
     worst_power = 0.0
     worst_snr = 0.0
     for i in range(cfg.num_realizations):

@@ -1,11 +1,11 @@
 """Batched frame kernels and the three experiment families.
 
 A frame is a training interval (pilot symbols sent under perturbed weights)
-followed by a data interval sent under the current working vector.  The
-idealized scenario gives the destination exact objectives and the exact
-compound channel; the realistic scenario runs per-symbol time-varying
-channels, measured relay gains and pilot-based estimates.  Every kernel
-advances a whole stack of links at once, one per leading-axis entry.
+followed by a data interval sent under the current working vector.
+Convergence and BER give the destination exact objectives and the exact
+compound channel; tracking runs per-symbol time-varying channels, measured
+relay gains and pilot-based estimates.  Every kernel advances a whole stack
+of links at once, one per leading-axis entry.
 
 Experiments fan independent realizations out over fixed-size blocks.  Every
 realization draws from its own seed-derived sub-streams, and blocks are
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import adaptation, estimation, network, oracles
+from . import adaptation, channel, estimation, network, oracles
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
                          init_weights)
 from .channel import JakesBank, PathLoss, complex_normal, sample_static_rayleigh
@@ -35,11 +35,6 @@ _STREAM_NOISE = 1
 
 class ConfigError(ValueError):
     """An experiment description that fails validation."""
-
-
-class Scenario(enum.Enum):
-    IDEALIZED = "idealized"
-    REALISTIC = "realistic"
 
 
 class Objective(enum.Enum):
@@ -67,15 +62,6 @@ _DEFAULT_CDF_FRAMES = (10, 20, 40, 70, 100)
 def _default_gap_thresholds():
     grid = np.geomspace(1e-4, 1.0, 61)
     return sorted(set(float(t) for t in grid) | {0.043})
-
-
-def _as_enum(kind, value, name):
-    if isinstance(value, kind):
-        return value
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError("invalid %s: %r" % (name, value)) from None
 
 
 def _as_real(value, name):
@@ -121,10 +107,7 @@ _LIST_FIELDS = {"betas": _as_real, "snr_db_grid": _as_real,
 class ExperimentConfig:
     """Declarative experiment description; see README for the JSON schema."""
 
-    scenario: Scenario = Scenario.IDEALIZED
     scheme: Scheme = Scheme.TR
-    objective: Objective = Objective.SNR
-    constraint: ConstraintKind = ConstraintKind.SUM_POWER
     beta: float = 0.1
     betas: list = None
     snr_db_grid: list = field(default_factory=lambda: [18.0])
@@ -150,10 +133,10 @@ class ExperimentConfig:
     num_trajectories: int = 16
 
     def __post_init__(self):
-        self.scenario = _as_enum(Scenario, self.scenario, "scenario")
-        self.scheme = _as_enum(Scheme, self.scheme, "scheme")
-        self.objective = _as_enum(Objective, self.objective, "objective")
-        self.constraint = _as_enum(ConstraintKind, self.constraint, "constraint")
+        try:
+            self.scheme = Scheme(self.scheme)
+        except ValueError:
+            raise ConfigError("invalid scheme: %r" % (self.scheme,)) from None
         for name in _INT_FIELDS:
             setattr(self, name, _as_int(getattr(self, name), name))
         for name in _REAL_FIELDS:
@@ -177,11 +160,7 @@ class ExperimentConfig:
         if not self.snr_db_grid:
             raise ConfigError("snr_db_grid must be non-empty")
         for snr_db in self.snr_db_grid:
-            try:
-                noise_power = 10.0 ** (-snr_db / 10.0)
-            except OverflowError:
-                noise_power = math.inf
-            if not 0 < noise_power < math.inf:
+            if not 0 < _noise_power(snr_db) < math.inf:
                 raise ConfigError("snr_db_grid entry %r gives a noise power "
                                   "that is not finite and positive" % snr_db)
         if not self.normalized_doppler_grid \
@@ -248,6 +227,14 @@ class ExperimentConfig:
                 value = value.value
             out[name] = value
         return out
+
+
+def _noise_power(snr_db):
+    """10^(-snr_db/10) as a Python float (unit budgets); inf on overflow."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _stream(seed, realization, stream):
@@ -416,13 +403,15 @@ class ConvergenceResult:
 
 def _convergence_block(cfg, start, count):
     r = cfg.num_relays
-    noise_power = 10.0 ** (-cfg.snr_db_grid[0] / 10.0)
+    objective, constraint = SCHEMES["pb-s-sp"]
+    noise_power = _noise_power(cfg.snr_db_grid[0])
     h, g = _draw_channels(cfg, start, count)
-    hbar, gbar = _compound_batch(h, g, 1.0, noise_power)
+    hbar, gbar = _compound_batch(h, g, _relay_power(constraint, r),
+                                 noise_power)
     w_opt = oracles._ssp(hbar, gbar)
     snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
     pset = build_perturbation_set(r, cfg.scheme)
-    w = np.tile(init_weights(r, cfg.constraint).w, (count, 1))
+    w = np.tile(init_weights(r, constraint).w, (count, 1))
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
@@ -439,20 +428,15 @@ def _convergence_block(cfg, start, count):
         if n_traj:
             snr_traj[:, k] = ratio[:n_traj]
             gap_traj[:, k] = 1.0 - ratio[:n_traj]
-        w, best, bit = _adapt(cfg, pset, k, w, best, cfg.objective,
-                              cfg.constraint, hbar, gbar, noise_power)
+        w, best, bit = _adapt(cfg, pset, k, w, best, objective, constraint,
+                              hbar, gbar, noise_power)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
     return start, snr_traj, gap_traj, bit_traj, gaps_at
 
 
 def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceResult:
-    """Idealized adaptation against the exact SNR oracle, many realizations."""
-    if cfg.scenario is not Scenario.IDEALIZED:
-        raise ConfigError("the convergence experiment runs the idealized scenario")
-    if cfg.objective is not Objective.SNR \
-            or cfg.constraint is not ConstraintKind.SUM_POWER:
-        raise ConfigError("convergence tracks the SNR objective under sum power")
+    """Idealized pb-s-sp adaptation against the exact s-sp oracle."""
     if len(cfg.snr_db_grid) != 1:
         raise ConfigError("convergence uses a single snr_db_grid entry")
     n = cfg.num_realizations
@@ -513,7 +497,7 @@ def _ber_block(cfg, points, start, count):
     """
     r = cfg.num_relays
     noise_power = np.array(
-        [10.0 ** (-cfg.snr_db_grid[p] / 10.0) for p in points])[:, None]
+        [_noise_power(cfg.snr_db_grid[p]) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
     schemes = [(token,) + SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
@@ -575,8 +559,6 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
     A block covers every point still accumulating when it starts; points
     are told apart by position, so a repeated SNR value gets its own row.
     """
-    if cfg.scenario is not Scenario.IDEALIZED:
-        raise ConfigError("the BER experiment runs the idealized scenario")
     cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_BER_SCHEMES))
     bits_per_real = cfg.num_frames * cfg.num_data
     cap = min(cfg.num_realizations,
@@ -685,19 +667,18 @@ def _tracking_block(cfg, start, count):
     (schemes, betas, dopplers).
     """
     r = cfg.num_relays
-    noise_power = 10.0 ** (-cfg.snr_db_grid[0] / 10.0)
+    noise_power = _noise_power(cfg.snr_db_grid[0])
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
     segments = (slice(0, lp // 2), slice(lp // 2, lp), slice(lp, s_total))
     pl = PathLoss(cfg.distances)
     amps = np.concatenate([pl.amplitudes, pl.amplitudes])  # h then g processes
 
-    m = 32
-    phases = np.empty((count, 2 * r, m))
+    phases = np.empty((count, 2 * r, channel.DEFAULT_NUM_OSCILLATORS))
     rngs = []
     for j, i in enumerate(range(start, start + count)):
         crng = _stream(cfg.seed, i, _STREAM_CHANNEL)
-        phases[j] = crng.uniform(0.0, 2.0 * np.pi, size=(2 * r, m))
+        phases[j] = crng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1:])
         rngs.append(_stream(cfg.seed, i, _STREAM_NOISE))
     banks = [JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
              for doppler in cfg.normalized_doppler_grid]
@@ -747,8 +728,6 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
     paired comparison on identical randomness.  Each block draws them once
     and advances the whole grid; grid points are told apart by position.
     """
-    if cfg.scenario is not Scenario.REALISTIC:
-        raise ConfigError("the tracking experiment runs the realistic scenario")
     if cfg.scheme is not Scheme.PM:
         raise ConfigError("tracking uses the PM scheme")
     if len(cfg.snr_db_grid) != 1:

@@ -119,13 +119,17 @@ def _snr(w, hbar, gbar, noise_power):
     return _signal_power(w, hbar) / (noise_power * (1.0 + _noise_gain(w, gbar)))
 
 
+# The scalar objectives are the batched ones on a batch of one: a 1-D
+# reduction may sum in another order and differ in the last place.
+
 def objective_power(w: BeamVector, cp: CompoundParams) -> float:
     """Coherent receive-signal power |w^H hbar|^2."""
-    return float(_signal_power(w.w, cp.hbar))
+    return float(_signal_power(w.w[None, :], cp.hbar[None, :])[0])
 
 
 def objective_snr(w: BeamVector, cp: CompoundParams, noise_power) -> float:
     """Destination SNR including the amplified relay noise."""
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
-    return float(_snr(w.w, cp.hbar, cp.gbar, noise_power))
+    return float(_snr(w.w[None, :], cp.hbar[None, :], cp.gbar[None, :],
+                      noise_power)[0])

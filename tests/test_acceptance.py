@@ -74,8 +74,7 @@ BER_GRID = [8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0]
 @pytest.fixture(scope="module")
 def ber_result():
     cfg = ExperimentConfig(
-        scenario="idealized", scheme="pm", objective="snr",
-        constraint="sum-power", beta=0.1, snr_db_grid=BER_GRID,
+        scheme="pm", beta=0.1, snr_db_grid=BER_GRID,
         distances=DISTANCES, num_realizations=16000, num_frames=25,
         warmup_frames=300, error_target=10**9, min_bits=0,
         bits_cap=16_000_000, block_size=1000, seed=SEED)
@@ -85,8 +84,7 @@ def ber_result():
 @pytest.fixture(scope="module")
 def tracking_result():
     cfg = ExperimentConfig(
-        scenario="realistic", scheme="pm", objective="snr",
-        constraint="sum-power", snr_db_grid=[22.0], schemes=["pb-s-sp"],
+        scheme="pm", snr_db_grid=[22.0], schemes=["pb-s-sp"],
         betas=[0.1, 0.5], normalized_doppler_grid=[1e-4, 1e-3, 3e-3, 1e-2],
         distances=DISTANCES, num_realizations=512, num_frames=150,
         warmup_frames=150, block_size=128, seed=SEED)
@@ -100,8 +98,7 @@ def test_criterion_01_convergence_fractions():
     fractions = {}
     for scheme, frame in (("pm", 40), ("tr", 70)):
         cfg = ExperimentConfig(
-            scenario="idealized", scheme=scheme, objective="snr",
-            constraint="sum-power", beta=0.1, snr_db_grid=[SNR_DB],
+            scheme=scheme, beta=0.1, snr_db_grid=[SNR_DB],
             distances=DISTANCES, num_realizations=10_000, num_frames=frame,
             cdf_frames=[frame], num_trajectories=0, block_size=2500,
             seed=SEED)
@@ -118,8 +115,7 @@ def test_criterion_01_convergence_fractions():
 def test_criterion_02_tr_monotonicity():
     n, frames = 1000, 500
     noise = 10.0 ** (-SNR_DB / 10.0)
-    cfg = ExperimentConfig(scenario="idealized", scheme="tr",
-                           objective="snr", constraint="sum-power",
+    cfg = ExperimentConfig(scheme="tr",
                            distances=DISTANCES, num_realizations=n,
                            num_frames=frames, block_size=n, seed=SEED)
     h, g = engine._draw_channels(cfg, 0, n)
@@ -361,13 +357,12 @@ def test_criterion_10_distributed_reconstruction():
 def test_criterion_11_byte_identical_reruns(tmp_path):
     cases = {
         "convergence": (
-            {"scenario": "idealized", "scheme": "pm", "objective": "snr",
-             "constraint": "sum-power", "num_realizations": 300,
+            {"scheme": "pm", "num_realizations": 300,
              "num_frames": 40, "num_trajectories": 8, "cdf_frames": [20, 40],
              "block_size": 64, "seed": SEED},
             ["trajectories.csv", "gap_cdf.csv"]),
         "ber": (
-            {"scenario": "idealized", "scheme": "pm",
+            {"scheme": "pm",
              "snr_db_grid": [10.0, 14.0],
              "schemes": ["no-bf", "s-sp", "pb-s-sp"],
              "num_realizations": 128, "num_frames": 5, "warmup_frames": 80,
@@ -375,7 +370,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
              "seed": SEED},
             ["ber.csv"]),
         "tracking": (
-            {"scenario": "realistic", "scheme": "pm",
+            {"scheme": "pm",
              "snr_db_grid": [22.0], "normalized_doppler_grid": [0.01],
              "betas": [0.1], "num_realizations": 8, "num_frames": 10,
              "warmup_frames": 20, "block_size": 3, "seed": SEED},

@@ -8,18 +8,17 @@ from relaybf.cli import main
 from relaybf.engine import ConvergenceResult
 
 CONV_CFG = {
-    "scenario": "idealized", "scheme": "pm", "objective": "snr",
-    "constraint": "sum-power", "num_realizations": 12, "num_frames": 12,
+    "scheme": "pm", "num_realizations": 12, "num_frames": 12,
     "num_trajectories": 3, "cdf_frames": [6, 12],
     "gap_thresholds": [0.01, 0.1, 0.5], "block_size": 8, "seed": 3,
 }
 BER_CFG = {
-    "scenario": "idealized", "snr_db_grid": [8.0],
+    "snr_db_grid": [8.0],
     "schemes": ["no-bf", "p-sp"], "num_realizations": 8, "num_frames": 3,
     "error_target": 10**9, "block_size": 8, "seed": 3,
 }
 TRACK_CFG = {
-    "scenario": "realistic", "scheme": "pm", "snr_db_grid": [22.0],
+    "scheme": "pm", "snr_db_grid": [22.0],
     "normalized_doppler_grid": [0.05], "betas": [0.1],
     "num_realizations": 4, "num_frames": 5, "warmup_frames": 10,
     "block_size": 4, "seed": 1,
@@ -107,6 +106,10 @@ def test_convergence_outputs_and_overwrite_guard(tmp_path, capsys):
     assert main(["convergence", "--config", cfg, "--out", str(out),
                  "--force"]) == 0
     assert (out / "trajectories.csv").read_bytes() == first
+    # an --out that is a file is refused before the run
+    assert main(["convergence", "--config", cfg, "--out",
+                 str(out / "gap_cdf.csv"), "--force"]) == 2
+    assert "not a directory" in capsys.readouterr().err
 
 
 def test_failed_rerun_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
@@ -171,21 +174,32 @@ def test_tracking_outputs(tmp_path, capsys):
     assert "tracking: scheme=pb-s-sp" in capsys.readouterr().out
 
 
-def test_tracking_rejects_mismatched_scenario(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, {**TRACK_CFG, "scenario": "idealized"})
-    assert main(["tracking", "--config", cfg,
-                 "--out", str(tmp_path / "t")]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("bad", [
+    {"scheme": "tr"},  # rejected by the runner, after the outputs are checked
+    # the command fixes the scenario and each scheme token its objective and
+    # constraint, so these keys are unknown
+    {"scenario": "realistic"},
+    {"objective": "snr"},
+    {"constraint": "sum-power"},
+], ids=lambda bad: next(iter(bad)))
+def test_tracking_rejects_mismatched_scenario(tmp_path, capsys, bad):
+    cfg = _cfg_file(tmp_path, {**TRACK_CFG, **bad})
+    out = tmp_path / "t"
+    assert main(["tracking", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_tracking_snr_objective_needs_two_pilots_per_half(tmp_path, capsys):
     # with one pilot per half both SNR probes hit the cap and tie forever
     cfg = _cfg_file(tmp_path, {**TRACK_CFG, "num_pilots": 2})
-    assert main(["tracking", "--config", cfg,
-                 "--out", str(tmp_path / "t")]) == 1
+    out = tmp_path / "t"
+    assert main(["tracking", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "num_pilots" in err
+    assert not out.exists()
 
 
 def test_oracle_check_passes(tmp_path, capsys):

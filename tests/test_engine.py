@@ -1,8 +1,10 @@
 """Tests for the batched frame kernels and the experiment runners."""
 
 import concurrent.futures
+import json
 import operator
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from relaybf.engine import (
     ConfigError,
     ExperimentConfig,
     Objective,
-    Scenario,
     run_ber_experiment,
     run_convergence_experiment,
     run_tracking_experiment,
@@ -41,25 +42,99 @@ from relaybf.network import CompoundParams, objective_power, objective_snr
 
 
 def test_config_defaults_and_coercion():
-    cfg = ExperimentConfig(scheme="pm", scenario="idealized",
-                           objective="snr", constraint="sum-power",
-                           num_frames=30)
+    cfg = ExperimentConfig(scheme="pm", num_frames=30)
     assert cfg.scheme is Scheme.PM
-    assert cfg.scenario is Scenario.IDEALIZED
     assert cfg.betas == [0.1]
     assert cfg.cdf_frames == [10, 20]  # clipped to num_frames
     assert any(abs(t - 0.043) < 1e-15 for t in cfg.gap_thresholds)
 
 
-def test_config_round_trip_and_unknown_keys():
-    cfg = ExperimentConfig(scheme="tr", beta=0.2, seed=7)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_COUNT = st.integers(1, 10**6)
+
+
+@st.composite
+def _valid_config_dicts(draw):
+    """Valid config JSON objects; keys left out take their defaults."""
+    r = draw(st.integers(1, 8))
+    frames = draw(_COUNT)
+    data = {
+        "scheme": draw(st.sampled_from(["tr", "pm"])),
+        "beta": draw(_POSITIVE),
+        "betas": draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=3)),
+        "snr_db_grid": draw(st.lists(st.floats(-300.0, 300.0), min_size=1,
+                                     max_size=4)),
+        "normalized_doppler_grid": draw(st.lists(st.floats(0.0, 1.0),
+                                                 min_size=1, max_size=4)),
+        "num_relays": r,
+        "distances": draw(st.lists(_POSITIVE, min_size=r, max_size=r)),
+        "num_realizations": draw(_COUNT),
+        "num_frames": frames,
+        "warmup_frames": draw(st.integers(0, 10**6)),
+        "seed": draw(st.integers(0, 2**64)),
+        "forgetting_factor": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "pm_estimation_mode": draw(st.sampled_from(["split", "whole"])),
+        "num_pilots": 2 * draw(st.integers(1, 50)),
+        "num_data": draw(_COUNT),
+        "schemes": draw(st.none() | st.lists(st.sampled_from(list(SCHEMES)),
+                                             min_size=1, unique=True)),
+        "error_target": draw(_COUNT),
+        "min_bits": draw(st.integers(0, 10**9)),
+        "bits_cap": draw(_COUNT),
+        "block_size": draw(_COUNT),
+        "cdf_frames": draw(st.none() | st.lists(st.integers(0, frames),
+                                                max_size=5)),
+        "gap_thresholds": draw(st.none() | st.lists(_POSITIVE, max_size=5)),
+        "num_trajectories": draw(st.integers(0, 100)),
+    }
+    # relays and distances, and frames and cdf_frames, are kept together
+    optional = sorted(set(data) - {"num_relays", "distances", "num_frames"})
+    keep = draw(st.sets(st.sampled_from(optional)))
+    return {k: v for k, v in data.items() if k in keep
+            or k in ("num_relays", "distances", "num_frames")}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.integers(-2**1100, 2**1100),  # JSON integers may overflow a float
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
+# the schema, plus the keys that select nothing since the command fixes the
+# scenario and each scheme token its objective and constraint
+_REMOVED_KEYS = ("scenario", "objective", "constraint")
+_KEYS = [f.name for f in fields(ExperimentConfig)] + list(_REMOVED_KEYS)
+_SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _shipped_configs(test):
+    # every file under configs/ must load and round-trip
+    paths = sorted(_SHIPPED.glob("*.json"))
+    assert paths, "no shipped configs under %s" % _SHIPPED
+    for path in paths:
+        test = example(valid=json.loads(path.read_text()), anything={})(test)
+    return test
+
+
+@settings(max_examples=200)
+@given(valid=_valid_config_dicts(),
+       anything=st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=4))
+@_shipped_configs
+def test_config_round_trip_and_unknown_keys(valid, anything):
+    cfg = ExperimentConfig.from_dict(valid)
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
     assert isinstance(cfg.to_dict()["scheme"], str)
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"betta": 0.1})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(["not", "a", "dict"])
+        ExperimentConfig.from_dict(list(valid))  # an array, not an object
+    # any JSON object either builds a config or fails with ConfigError;
+    # each arbitrary value also replaces one key of a valid config, so that
+    # it is checked past the other keys
+    for data in [anything] + [{**valid, k: v} for k, v in anything.items()]:
+        try:
+            built = ExperimentConfig.from_dict(data)
+        except ConfigError:
+            continue
+        assert not set(data) & set(_REMOVED_KEYS)
+        assert ExperimentConfig.from_dict(built.to_dict()) == built
 
 
 @pytest.mark.parametrize("bad", [
@@ -166,15 +241,12 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     cp = CompoundParams(hbar[0], gbar[0])
 
     def measure(v):
-        # the kernel's own objective, so that the state machines are
-        # compared bit for bit; the scalar objective functions sum in
-        # another order and may differ from it in the last place
-        j = engine._objective_batch(objective, v.w[None, :], hbar, gbar,
-                                    noise)[0]
-        scalar = objective_power(v, cp) if objective is Objective.POWER \
+        # the public objectives are the kernel's on a batch of one
+        j = objective_power(v, cp) if objective is Objective.POWER \
             else objective_snr(v, cp, noise)
-        assert j == pytest.approx(scalar, rel=1e-12)
-        return float(j)
+        assert j == engine._objective_batch(objective, v.w[None, :], hbar,
+                                            gbar, noise)[0]
+        return j
 
     pset = build_perturbation_set(r, scheme)
     w = init_weights(r, constraint).w[None, :].copy()
@@ -210,8 +282,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
         assert np.array_equal(w[0], state.w_data.w)
 
 
-CONV_CFG = dict(scenario="idealized", scheme="pm", objective="snr",
-                constraint="sum-power", num_realizations=48, num_frames=30,
+CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
                 num_trajectories=5, cdf_frames=[0, 10, 30], block_size=16,
                 snr_db_grid=[18.0], seed=11)
 
@@ -240,18 +311,11 @@ def test_convergence_deterministic_and_worker_independent():
 
 def test_convergence_rejects_wrong_setup():
     with pytest.raises(ConfigError):
-        run_convergence_experiment(ExperimentConfig(**{**CONV_CFG,
-                                                       "scenario": "realistic"}))
-    with pytest.raises(ConfigError):
-        run_convergence_experiment(ExperimentConfig(**{**CONV_CFG,
-                                                       "objective": "power"}))
-    with pytest.raises(ConfigError):
         run_convergence_experiment(
             ExperimentConfig(**{**CONV_CFG, "snr_db_grid": [10.0, 18.0]}))
 
 
-BER_CFG = dict(scenario="idealized", scheme="pm", objective="snr",
-               constraint="sum-power", snr_db_grid=[6.0, 12.0],
+BER_CFG = dict(scheme="pm", snr_db_grid=[6.0, 12.0],
                schemes=["no-bf", "p-sp", "pb-s-sp"], num_realizations=48,
                num_frames=5, warmup_frames=60, error_target=10**9,
                min_bits=0, bits_cap=10**9, block_size=16, seed=5)
@@ -341,14 +405,7 @@ def test_ber_block_carries_only_accumulating_points(monkeypatch):
                        for k in range(max(used))]
 
 
-def test_ber_rejects_realistic_scenario():
-    with pytest.raises(ConfigError):
-        run_ber_experiment(ExperimentConfig(**{**BER_CFG,
-                                               "scenario": "realistic"}))
-
-
-TRACK_CFG = dict(scenario="realistic", scheme="pm", objective="snr",
-                 constraint="sum-power", snr_db_grid=[22.0],
+TRACK_CFG = dict(scheme="pm", snr_db_grid=[22.0],
                  normalized_doppler_grid=[0.01, 0.1], betas=[0.1],
                  num_realizations=8, num_frames=10, warmup_frames=20,
                  block_size=4, seed=2)
@@ -430,9 +487,6 @@ def test_scheduler_pulls_payloads_lazily(workers):
 
 
 def test_tracking_rejects_wrong_setup():
-    with pytest.raises(ConfigError):
-        run_tracking_experiment(ExperimentConfig(**{**TRACK_CFG,
-                                                    "scenario": "idealized"}))
     with pytest.raises(ConfigError):
         run_tracking_experiment(ExperimentConfig(**{**TRACK_CFG,
                                                     "scheme": "tr"}))
