@@ -20,7 +20,7 @@ from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          index_bits, insert_coordinate)
 from .network import (CompoundParams, NetworkParams, compound_params,
                       ideal_relay_gains, objective_power, objective_snr,
-                      relay_gain, simulate_symbols)
+                      simulate_symbols)
 from .oracles import (DegenerateChannelError, egc_weights, nobf_weights,
                       psp_weights, random_search_margins, ssp_weights)
 

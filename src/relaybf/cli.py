@@ -17,7 +17,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, engine, network, oracles
-from .channel import PathLoss, sample_static_rayleigh
 from .engine import ConfigError, ExperimentConfig
 
 ORACLE_CHECK_VECTORS = 20000
@@ -207,26 +206,21 @@ def _cmd_tracking(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    path_loss = PathLoss(cfg.distances)
-    params = network.NetworkParams(cfg.num_relays, 1.0, 1.0,
-                                   engine._noise_power(cfg.snr_db_grid[0]))
-    worst_power = 0.0
-    worst_snr = 0.0
+    noise_power = engine._noise_power(cfg.snr_db_grid[0])
+    h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
+    hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
+    achieved = network._signal_power(oracles._psp(hbar), hbar)
+    expected = np.sum(np.abs(hbar) ** 2, axis=-1)  # ||hbar||^2
+    if np.any(np.abs(achieved - expected) > 1e-9 * np.maximum(expected, 1.0)):
+        print("oracle-check: FAIL (power objective of the matched "
+              "vector deviates from the closed form)")
+        return 2
+    worst_power = worst_snr = 0.0
     for i in range(cfg.num_realizations):
-        chan = sample_static_rayleigh(
-            engine._stream(cfg.seed, i, engine._STREAM_CHANNEL), path_loss)
-        alphas = network.ideal_relay_gains(params, chan)
-        cp = network.compound_params(params, chan, alphas)
-        psp = oracles.psp_weights(cp)
-        achieved = network.objective_power(psp, cp)
-        closed_form = float(np.sum(np.abs(cp.hbar) ** 2))
-        if abs(achieved - closed_form) > 1e-9 * max(closed_form, 1.0):
-            print("oracle-check: FAIL (power objective of the matched "
-                  "vector deviates from the closed form)")
-            return 2
         rng = engine._stream(cfg.seed, i, engine._STREAM_NOISE)
         p_margin, s_margin = oracles.random_search_margins(
-            cp, params.noise_power, ORACLE_CHECK_VECTORS, rng)
+            network.CompoundParams(hbar[i], gbar[i]), noise_power,
+            ORACLE_CHECK_VECTORS, rng)
         worst_power = max(worst_power, p_margin)
         worst_snr = max(worst_snr, s_margin)
     print("oracle-check: channels=%d vectors=%d max_power_margin=%.3e "

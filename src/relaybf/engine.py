@@ -320,27 +320,6 @@ def _draw_channels(cfg, start, count):
     return h, g
 
 
-def _compound_batch(h, g, relay_power, noise_power):
-    """Ideal relay gains and compound parameters; source power 1."""
-    alphas = np.sqrt(relay_power / (np.abs(h) ** 2 + noise_power))
-    gbar = g * alphas
-    hbar = gbar * h
-    return hbar, gbar
-
-
-def _batch_oracle(token, hbar, gbar):
-    if token == "no-bf":
-        r = hbar.shape[-1]
-        return np.full(hbar.shape, 1.0 / np.sqrt(r), dtype=complex)
-    if token == "egc":
-        return oracles._egc(hbar)
-    if token == "p-sp":
-        return oracles._psp(hbar)
-    if token == "s-sp":
-        return oracles._ssp(hbar, gbar)
-    raise ValueError("unknown batch scheme %r" % token)
-
-
 def _iter_block_results(fn, payloads, workers):
     """Yield `fn(*payload)` for each payload, in payload order.
 
@@ -406,9 +385,9 @@ def _convergence_block(cfg, start, count):
     objective, constraint = SCHEMES["pb-s-sp"]
     noise_power = _noise_power(cfg.snr_db_grid[0])
     h, g = _draw_channels(cfg, start, count)
-    hbar, gbar = _compound_batch(h, g, _relay_power(constraint, r),
-                                 noise_power)
-    w_opt = oracles._ssp(hbar, gbar)
+    hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
+                                        noise_power)
+    w_opt = oracles.closed_form("s-sp", hbar, gbar)
     snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
     pset = build_perturbation_set(r, cfg.scheme)
     w = np.tile(init_weights(r, constraint).w, (count, 1))
@@ -501,8 +480,8 @@ def _ber_block(cfg, points, start, count):
     n_frames, n_data = cfg.num_frames, cfg.num_data
     schemes = [(token,) + SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
-    compound = {ck: _compound_batch(h, g, _relay_power(ck, r),
-                                    noise_power[..., None])
+    compound = {ck: network.ideal_compound(h, g, _relay_power(ck, r),
+                                           noise_power[..., None])
                 for ck in {ck for _, _, ck in schemes}}
 
     weights, best = [], []
@@ -511,7 +490,7 @@ def _ber_block(cfg, points, start, count):
         hbar, gbar = compound[ck]
         b = None
         if objective is None:
-            w = _batch_oracle(token, hbar, gbar)
+            w = oracles.closed_form(token, hbar, gbar)
         else:
             w = np.tile(init_weights(r, ck).w, (len(points), count, 1))
             b = np.zeros((len(points), count))
@@ -630,12 +609,12 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     own winner on frame 0), or with `whole`, the full-interval estimate.
     Returns (weights, winning half estimate, data estimate, data samples).
     """
-    alpha = np.sqrt(_relay_power(constraint, w.shape[-1]) / measured)
+    alpha = network.relay_gains(_relay_power(constraint, w.shape[-1]),
+                                measured)
     plus = _normalize_batch(w + beta * q, constraint, w)
     minus = _normalize_batch(w - beta * q, constraint, w)
-    y_p1, y_p2, y_d = (
-        np.sum(gx_seg * (np.conj(ww) * alpha)[..., None, :], axis=-1) + v_seg
-        for gx_seg, ww, v_seg in zip(gx, (plus, minus, w), v))
+    y_p1, y_p2, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
+                       for gx_seg, ww, v_seg in zip(gx, (plus, minus, w), v))
     p1, p2 = (np.ones(y.shape[-1], dtype=complex) for y in (y_p1, y_p2))
     h_plus = estimation._channel_estimate(y_p1, p1)
     h_minus = estimation._channel_estimate(y_p2, p2)
@@ -705,8 +684,7 @@ def _tracking_block(cfg, start, count):
             bits[j] = rngs[j].integers(0, 2, size=ld)
         s = np.concatenate(
             [np.ones((count, lp)), 1.0 - 2.0 * bits], axis=1)
-        x = h_t * s[:, :, None] + n                     # source power 1
-        measured = np.mean(np.abs(x) ** 2, axis=2)      # (D, count, R)
+        x, measured = network.relay_receive(h_t, s, n)  # source power 1
         gx = [g_t[..., sl, :] * x[..., sl, :] for sl in segments]
         vs = [v[:, sl] for sl in segments]
         q = pset.column(f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import BeamVector
-from .channel import ChannelRealization, complex_normal
+from .channel import complex_normal
 
 
 @dataclass
@@ -55,30 +55,46 @@ class CompoundParams:
         return int(self.hbar.size)
 
 
-def relay_gain(params, h_i, mode="ideal", measured_power=None) -> float:
-    """Power-normalizing relay amplification factor.
+# The chain, batched: leading axes index links, the last axis relays.  The
+# experiments run it at source power 1; the `NetworkParams` functions below
+# are a batch of one with sqrt(Ps) folded into h.
 
-    "ideal" uses the exact backward channel: sqrt(P/(Ps*|h_i|^2 + N0)).
-    "measured" normalizes by a supplied receive-power measurement.
-    """
-    if mode == "ideal":
-        denom = params.source_power * abs(h_i) ** 2 + params.noise_power
-        if denom <= 0:
-            raise ValueError("relay receive power is zero; gain undefined")
-        return float(np.sqrt(params.relay_power / denom))
-    if mode == "measured":
-        if measured_power is None or measured_power <= 0:
-            raise ValueError("measured_power must be a positive number")
-        return float(np.sqrt(params.relay_power / measured_power))
-    raise ValueError("mode must be 'ideal' or 'measured'")
+def relay_gains(relay_power, received_power):
+    """The AF gain rule alpha = sqrt(P / received power); the power is
+    |h|^2 + N0 for ideal gains, a relay's measured mean |x|^2 in tracking."""
+    return np.sqrt(relay_power / received_power)
+
+
+def compound(h, g, alphas):
+    """The compound fold (hbar, gbar) = (g*alpha*h, g*alpha)."""
+    gbar = g * alphas
+    return gbar * h, gbar
+
+
+def ideal_compound(h, g, relay_power, noise_power):
+    """(hbar, gbar) under ideal relay gains."""
+    return compound(h, g, relay_gains(relay_power, np.abs(h) ** 2 + noise_power))
+
+
+def relay_receive(h, s, n):
+    """Receptions x = h*s + n of symbols s (..., L), h and n (..., L, R),
+    and each relay's measured power, mean |x|^2 over the L symbols."""
+    x = h * s[..., None] + n
+    return x, np.mean(np.abs(x) ** 2, axis=-2)
+
+
+def combine(gx, w, alphas, v):
+    """Destination samples sum_i (g_i*x_i)*(conj(w_i)*alpha_i) + v of
+    forwarded receptions gx = g*x (..., L, R) and noise v (..., L)."""
+    return np.sum(gx * (np.conj(w) * alphas)[..., None, :], axis=-1) + v
 
 
 def ideal_relay_gains(params, chan) -> np.ndarray:
     """Vector of ideal relay gains for a whole realization."""
-    denom = params.source_power * np.abs(chan.h) ** 2 + params.noise_power
-    if np.any(denom <= 0):
+    power = params.source_power * np.abs(chan.h) ** 2 + params.noise_power
+    if np.any(power <= 0):
         raise ValueError("relay receive power is zero; gain undefined")
-    return np.sqrt(params.relay_power / denom)
+    return relay_gains(params.relay_power, power)
 
 
 def compound_params(params, chan, alphas) -> CompoundParams:
@@ -86,22 +102,18 @@ def compound_params(params, chan, alphas) -> CompoundParams:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != chan.h.shape:
         raise ValueError("alphas length must match the number of relays")
-    gbar = chan.g * alphas
-    hbar = gbar * chan.h * np.sqrt(params.source_power)
-    return CompoundParams(hbar, gbar)
+    return CompoundParams(*compound(np.sqrt(params.source_power) * chan.h,
+                                    chan.g, alphas))
 
 
 def simulate_symbols(params, chan, alphas, w: BeamVector, symbols, rng) -> np.ndarray:
-    """Vectorized relay-chain simulation of a symbol block.
-
-    Relay noise for the whole block is drawn before the destination noise.
-    """
+    """Relay-chain simulation of a symbol block; the relay noise of the
+    whole block is drawn before the destination noise."""
     symbols = np.asarray(symbols)
     n = complex_normal(rng, (symbols.size, chan.num_relays), params.noise_power)
     v = complex_normal(rng, symbols.size, params.noise_power)
-    x = np.sqrt(params.source_power) * chan.h[None, :] * symbols[:, None] + n
-    r = np.conj(w.w)[None, :] * np.asarray(alphas)[None, :] * x
-    return (chan.g[None, :] * r).sum(axis=1) + v
+    x, _ = relay_receive(np.sqrt(params.source_power) * chan.h, symbols, n)
+    return combine(chan.g * x, w.w, np.asarray(alphas), v)
 
 
 def _signal_power(w, hbar):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptation import BeamVector, ConstraintKind
+from .adaptation import BeamVector, ConstraintKind, init_weights
 from .network import CompoundParams, _signal_power, _snr
 
 
@@ -33,6 +33,21 @@ def _ssp(hbar, gbar):
     raw = hbar / (1.0 + np.abs(gbar) ** 2)
     norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=-1, keepdims=True))
     return raw / norm
+
+
+def closed_form(token, hbar, gbar):
+    """Batched closed-form weights of a scheme token; "no-bf" is the uniform
+    split that the adaptive sum-power schemes start from."""
+    if token == "no-bf":
+        w = init_weights(hbar.shape[-1], ConstraintKind.SUM_POWER).w
+        return np.broadcast_to(w, hbar.shape)
+    if token == "egc":
+        return _egc(hbar)
+    if token == "p-sp":
+        return _psp(hbar)
+    if token == "s-sp":
+        return _ssp(hbar, gbar)
+    raise ValueError("no closed form for scheme %r" % token)
 
 
 def egc_weights(cp: CompoundParams) -> BeamVector:
@@ -69,8 +84,7 @@ def nobf_weights(num_relays) -> BeamVector:
     """No beamforming: uniform power split, no phase alignment."""
     if num_relays < 1:
         raise ValueError("num_relays must be >= 1")
-    return BeamVector(np.ones(num_relays, dtype=complex) / np.sqrt(num_relays),
-                      ConstraintKind.SUM_POWER)
+    return init_weights(num_relays, ConstraintKind.SUM_POWER)
 
 
 def random_search_margins(cp: CompoundParams, noise_power, num_vectors, rng,

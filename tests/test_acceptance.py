@@ -119,7 +119,7 @@ def test_criterion_02_tr_monotonicity():
                            distances=DISTANCES, num_realizations=n,
                            num_frames=frames, block_size=n, seed=SEED)
     h, g = engine._draw_channels(cfg, 0, n)
-    hbar, gbar = engine._compound_batch(h, g, 1.0, noise)
+    hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
     pset = build_perturbation_set(3, Scheme.TR)
     w = np.tile(init_weights(3, ConstraintKind.SUM_POWER).w, (n, 1))
     best = np.zeros(n)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybf import engine
+from relaybf import engine, network
 from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
@@ -235,7 +235,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     # the distributed agents rely on it.
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-snr_db / 10.0)
-    hbar, gbar = engine._compound_batch(
+    hbar, gbar = network.ideal_compound(
         complex_normal(rng, (1, r)), complex_normal(rng, (1, r)),
         engine._relay_power(constraint, r), noise)
     cp = CompoundParams(hbar[0], gbar[0])
@@ -515,13 +515,14 @@ def _frame_inputs(bank, frame, rng, noise, num_pilots=10, num_data=40):
     g_t = coeff[:, r:].transpose(0, 2, 1)
     bits = rng.integers(0, 2, size=(1, num_data))
     s = np.concatenate([np.ones((1, num_pilots)), 1.0 - 2.0 * bits], axis=1)
-    x = h_t * s[:, :, None] + complex_normal(rng, (1, s_total, r), noise)
+    x, measured = network.relay_receive(
+        h_t, s, complex_normal(rng, (1, s_total, r), noise))
     v = complex_normal(rng, (1, s_total), noise)
     half = num_pilots // 2
     segments = (slice(0, half), slice(half, num_pilots),
                 slice(num_pilots, s_total))
     return ([g_t[:, sl] * x[:, sl] for sl in segments],
-            [v[:, sl] for sl in segments], np.mean(np.abs(x) ** 2, axis=1))
+            [v[:, sl] for sl in segments], measured)
 
 
 def test_realistic_pm_detection_uses_previous_winner():

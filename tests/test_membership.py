@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaybf.adaptation import (
     BeamVector,
@@ -43,13 +45,23 @@ def test_encode_frozen_strings():
     assert encode_message(DeathMessage(0), 1) == "0"
 
 
-def test_encode_decode_round_trip():
-    for rmax in (1, 2, 5, 8):
-        for idx in range(rmax):
-            msg = DeathMessage(idx)
-            assert decode_message(encode_message(msg, rmax), rmax) == msg
-        msg = BirthMessage(tuple(i % 2 == 0 for i in range(rmax)))
+@settings(max_examples=300)
+@given(data=st.data(), rmax=st.integers(1, 64))
+def test_encode_decode_round_trip(data, rmax):
+    index = data.draw(st.integers(0, rmax - 1))
+    active = data.draw(st.lists(st.booleans(), min_size=rmax, max_size=rmax))
+    for msg in (DeathMessage(index), BirthMessage(tuple(active))):
         assert decode_message(encode_message(msg, rmax), rmax) == msg
+    # any 0/1 string is rejected or is the encoding of what it decodes to;
+    # lengths lean to the two valid widths, where only the content decides
+    size = data.draw(st.sampled_from([1 + index_bits(rmax), 1 + rmax])
+                     | st.integers(0, rmax + 3))
+    wire = data.draw(st.text(alphabet="01", min_size=size, max_size=size))
+    try:
+        msg = decode_message(wire, rmax)
+    except ValueError:
+        return
+    assert encode_message(msg, rmax) == wire
 
 
 def test_decode_rejects_malformed_input():
@@ -61,6 +73,8 @@ def test_decode_rejects_malformed_input():
         decode_message("001", 5)  # death payload must be 3 bits
     with pytest.raises(ValueError):
         decode_message("0111", 5)  # index 7 out of range
+    with pytest.raises(ValueError):
+        decode_message("0101", 5)  # index 5, one past the last relay
     with pytest.raises(ValueError):
         decode_message("1101", 5)  # birth payload must be 5 bits
     with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ from relaybf.adaptation import BeamVector, ConstraintKind
 from relaybf.channel import (ChannelRealization, PathLoss, complex_normal,
                              sample_static_rayleigh)
 from relaybf.network import (CompoundParams, NetworkParams, compound_params,
-                             ideal_relay_gains, objective_power, objective_snr,
-                             relay_gain, simulate_symbols)
+                             ideal_compound, ideal_relay_gains, objective_power,
+                             objective_snr, relay_gains, relay_receive,
+                             simulate_symbols)
 from relaybf import network
 
 
@@ -24,35 +25,50 @@ def test_network_params_validation():
     NetworkParams(2, 1.0, 1.0, 0.0)  # noiseless diagnostics allowed
 
 
-def test_relay_gain_ideal_value():
+def test_gain_rule_ideal_and_measured_values():
+    # ideal: P=3 over Ps*|1+1j|^2 + N0 = 2*2 + 0.5 = 4.5
     params = NetworkParams(1, 2.0, 3.0, 0.5)
-    # denom = 2*|1+1j|^2 + 0.5 = 4.5
-    assert relay_gain(params, 1.0 + 1.0j) == pytest.approx(
+    chan = ChannelRealization([1.0 + 1.0j], [1.0])
+    assert ideal_relay_gains(params, chan)[0] == pytest.approx(
         0.8164965809277260, rel=1e-12)
+    assert relay_gains(3.0, 4.5) == pytest.approx(0.8164965809277260,
+                                                  rel=1e-12)
+    # measured: P=2 over a measured receive power of 4
+    assert relay_gains(2.0, 4.0) == pytest.approx(0.7071067811865476,
+                                                  rel=1e-12)
 
 
-def test_relay_gain_measured_value():
-    params = NetworkParams(1, 1.0, 2.0, 0.1)
-    assert relay_gain(params, 0.0, mode="measured", measured_power=4.0) \
-        == pytest.approx(0.7071067811865476, rel=1e-12)
-
-
-def test_relay_gain_errors():
-    params = NetworkParams(1, 1.0, 1.0, 0.0)
+def test_ideal_relay_gains_rejects_zero_receive_power():
+    params = NetworkParams(2, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        relay_gain(params, 0.0)  # zero receive power
-    with pytest.raises(ValueError):
-        relay_gain(params, 1.0, mode="measured")
-    with pytest.raises(ValueError):
-        relay_gain(params, 1.0, mode="bogus")
+        ideal_relay_gains(params, ChannelRealization([0.0, 1.0], [1.0, 1.0]))
 
 
-def test_ideal_relay_gains_matches_scalar():
-    params = NetworkParams(3, 1.5, 2.0, 0.2)
-    chan = ChannelRealization([1.0, 0.5j, -0.3 + 0.4j], [1.0, 1.0, 1.0])
-    vec = ideal_relay_gains(params, chan)
-    ref = [relay_gain(params, h_i) for h_i in chan.h]
-    np.testing.assert_allclose(vec, ref, rtol=1e-14)
+def test_batch_of_one_equals_the_batched_chain():
+    # unit source power: the scalar wrappers are the engine's fold, bitwise
+    rng = np.random.default_rng(5)
+    h = complex_normal(rng, (20, 3))
+    g = complex_normal(rng, (20, 3))
+    hbar, gbar = ideal_compound(h, g, 1.0 / 3, 0.02)
+    params = NetworkParams(3, 1.0, 1.0 / 3, 0.02)
+    for i in range(20):
+        chan = ChannelRealization(h[i], g[i])
+        cp = compound_params(params, chan, ideal_relay_gains(params, chan))
+        np.testing.assert_array_equal(cp.hbar, hbar[i])
+        np.testing.assert_array_equal(cp.gbar, gbar[i])
+
+
+def test_measured_gains_forward_exactly_the_budget():
+    # alpha set from the measured mean |x|^2 makes each relay forward
+    # exactly its budget P over the interval, whatever it received
+    rng = np.random.default_rng(6)
+    h = complex_normal(rng, (4, 50, 3))
+    s = 1.0 - 2.0 * rng.integers(0, 2, size=(4, 50))
+    x, measured = relay_receive(h, s, complex_normal(rng, (4, 50, 3), 0.3))
+    for budget in (1.0, 1.0 / 3):
+        alphas = relay_gains(budget, measured)
+        forwarded = np.mean(np.abs(alphas[..., None, :] * x) ** 2, axis=-2)
+        np.testing.assert_allclose(forwarded, budget, rtol=1e-13)
 
 
 def test_compound_params_values():

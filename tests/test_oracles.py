@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from relaybf.adaptation import ConstraintKind
+from relaybf.adaptation import ConstraintKind, init_weights
 from relaybf.channel import PathLoss, sample_static_rayleigh
 from relaybf.network import (CompoundParams, NetworkParams, compound_params,
                              ideal_relay_gains, objective_power, objective_snr)
-from relaybf.oracles import (DegenerateChannelError, egc_weights, nobf_weights,
-                             psp_weights, random_search_margins, ssp_weights)
+from relaybf.oracles import (DegenerateChannelError, closed_form, egc_weights,
+                             nobf_weights, psp_weights, random_search_margins,
+                             ssp_weights)
 
 
 def _random_compound(seed, r=3, noise_power=10.0 ** -1.8):
@@ -73,6 +74,25 @@ def test_nobf_uniform():
     np.testing.assert_allclose(w.w, 0.5)
     with pytest.raises(ValueError):
         nobf_weights(0)
+
+
+def test_closed_form_matches_the_per_channel_designs():
+    # the BER kernel's token lookup, on a stack of channels, equals the
+    # per-channel designs bit for bit; no-bf is the sum-power start vector
+    cps = [_random_compound(seed)[0] for seed in range(5)]
+    hbar = np.stack([cp.hbar for cp in cps])
+    gbar = np.stack([cp.gbar for cp in cps])
+    designs = {"no-bf": lambda cp: nobf_weights(3), "egc": egc_weights,
+               "p-sp": psp_weights, "s-sp": lambda cp: ssp_weights(cp, 0.1)}
+    for token, design in designs.items():
+        w = closed_form(token, hbar, gbar)
+        assert w.shape == hbar.shape
+        for cp, row in zip(cps, w):
+            np.testing.assert_array_equal(row, design(cp).w)
+    np.testing.assert_array_equal(nobf_weights(3).w,
+                                  init_weights(3, ConstraintKind.SUM_POWER).w)
+    with pytest.raises(ValueError):
+        closed_form("pb-s-sp", hbar, gbar)
 
 
 def test_objective_ordering_between_designs():
