@@ -25,7 +25,7 @@ def test_network_params_validation():
     NetworkParams(2, 1.0, 1.0, 0.0)  # noiseless diagnostics allowed
 
 
-def test_gain_rule_ideal_and_measured_values():
+def test_relay_gain_ideal_value():
     # ideal: P=3 over Ps*|1+1j|^2 + N0 = 2*2 + 0.5 = 4.5
     params = NetworkParams(1, 2.0, 3.0, 0.5)
     chan = ChannelRealization([1.0 + 1.0j], [1.0])
@@ -33,6 +33,9 @@ def test_gain_rule_ideal_and_measured_values():
         0.8164965809277260, rel=1e-12)
     assert relay_gains(3.0, 4.5) == pytest.approx(0.8164965809277260,
                                                   rel=1e-12)
+
+
+def test_relay_gain_measured_value():
     # measured: P=2 over a measured receive power of 4
     assert relay_gains(2.0, 4.0) == pytest.approx(0.7071067811865476,
                                                   rel=1e-12)
