@@ -1,5 +1,5 @@
 """Beamforming weight constraints, deterministic perturbation sets, and the
-one-bit-feedback adaptation state machines.
+one-bit-feedback adaptation step.
 
 Two schemes are implemented.  Take/Reject (TR) perturbs the working vector
 once per frame and keeps the perturbed candidate only when its measured
@@ -8,12 +8,16 @@ versions of the same perturbation in the two halves of the training interval
 and always keeps the better half.  Both consume exactly one feedback bit per
 frame, so relays that observe the bit stream can mirror the weight trajectory
 without any channel knowledge.
+
+The step is written once, batched over leading axes (links): `project`,
+`probes`, `decide` and `select`.  A relay runs `probes` and `select` with
+the broadcast bit, so it computes the destination's vector by construction.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +40,7 @@ class BeamVector:
     """Weight vector tagged with the power constraint it is meant to satisfy.
 
     Feasibility is not enforced at construction (tests build deliberately
-    infeasible vectors); `validate` checks it where the contract requires.
+    infeasible vectors); `feasibility_error` measures it.
     `degenerate` records coordinates whose phase is arbitrary because the
     underlying channel carried no signal.
     """
@@ -61,11 +65,6 @@ class BeamVector:
             return abs(float(np.sum(np.abs(self.w) ** 2)) - 1.0)
         return float(np.max(np.abs(np.abs(self.w) ** 2 - 1.0)))
 
-    def validate(self):
-        if self.feasibility_error() >= CONSTRAINT_TOL:
-            raise ValueError("beam vector violates its power constraint")
-        return self
-
 
 def _normalize_sum(w_raw, fallback):
     norm = np.sqrt(np.sum(np.abs(w_raw) ** 2, axis=-1, keepdims=True))
@@ -87,22 +86,25 @@ def _normalize_per_relay(w_raw, fallback):
     return np.where(mag < ZERO_NORM, fallback, w_raw / safe)
 
 
-def normalize(w_raw, constraint, fallback: BeamVector) -> BeamVector:
-    """Project a raw update onto the constraint set.
+def project(w_raw, constraint, fallback):
+    """Project raw updates (..., R) onto the constraint set.
 
-    Sum-power scales the whole vector to unit norm; per-relay strips each
-    entry down to its phase.  Degenerate inputs (vector norm, or a single
-    entry, below 1e-12) fall back to the corresponding previous value so the
-    adaptation never emits an infeasible vector.
+    Sum-power scales each vector to unit norm; per-relay strips each entry
+    down to its phase.  Degenerate inputs (vector norm, or a single entry,
+    below 1e-12) fall back to the corresponding entries of `fallback`, the
+    previous value, so the adaptation never emits an infeasible vector.
     """
-    w_raw = np.atleast_1d(np.asarray(w_raw, dtype=complex))
     if constraint is ConstraintKind.SUM_POWER:
-        out = _normalize_sum(w_raw, fallback.w)
-    elif constraint is ConstraintKind.PER_RELAY:
-        out = _normalize_per_relay(w_raw, fallback.w)
-    else:
-        raise ValueError("unknown constraint kind")
-    return BeamVector(out, constraint)
+        return _normalize_sum(w_raw, fallback)
+    if constraint is ConstraintKind.PER_RELAY:
+        return _normalize_per_relay(w_raw, fallback)
+    raise ValueError("unknown constraint kind")
+
+
+def normalize(w_raw, constraint, fallback: BeamVector) -> BeamVector:
+    """`project` on a single vector."""
+    w_raw = np.atleast_1d(np.asarray(w_raw, dtype=complex))
+    return BeamVector(project(w_raw, constraint, fallback.w), constraint)
 
 
 def dft_matrix(num_relays) -> np.ndarray:
@@ -187,68 +189,74 @@ def init_pm_state(num_relays, constraint) -> PmState:
     return PmState(init_weights(num_relays, constraint), 0)
 
 
-def perturb_vector(w: BeamVector, frame_index, beta, pset) -> BeamVector:
-    """w + beta*q_k, re-projected; shared by TR and the relay-side mirrors."""
-    q = pset.column(frame_index)
-    return normalize(w.w + beta * q, w.constraint, w)
+def probes(scheme, w, q, beta, constraint):
+    """Projected training candidates of working vectors `w` (..., R) along
+    direction `q`: (w + beta*q,) for TR, (w + beta*q, w - beta*q) for PM."""
+    plus = project(w + beta * q, constraint, w)
+    if scheme is Scheme.TR:
+        return (plus,)
+    return plus, project(w - beta * q, constraint, w)
 
 
-def candidate_pair(w: BeamVector, frame_index, beta, pset):
-    """(w + beta*q_k, w - beta*q_k), both re-projected (PM probes)."""
-    q = pset.column(frame_index)
-    plus = normalize(w.w + beta * q, w.constraint, w)
-    minus = normalize(w.w - beta * q, w.constraint, w)
-    return plus, minus
+def decide(scheme, objectives, best=None, forgetting=1.0):
+    """(feedback bit, next stored best) from the objectives of `probes`.
+
+    PM sends 1 (take minus) iff J- > J+, so ties go to plus; `best` passes
+    through.  TR sends 1 (take) iff J > forgetting*best, so ties reject, and
+    stores J on a take and the decayed best otherwise.
+    """
+    if scheme is Scheme.PM:
+        j_plus, j_minus = objectives
+        return j_minus > j_plus, best
+    (j,) = objectives
+    decayed = forgetting * best
+    take = j > decayed
+    return take, np.where(take, j, decayed)
+
+
+def select(w, probes, bit):
+    """Next working vector: bit 1 takes the last probe, bit 0 keeps the one
+    before it (TR: `w`, PM: the plus probe)."""
+    keep, take = ((w,) + tuple(probes))[-2:]
+    return np.where(np.asarray(bit)[..., None], take, keep)
+
+
+def _perturb(scheme, w: BeamVector, frame_index, beta, pset):
+    if pset.scheme_tag is not scheme:
+        raise ValueError("perturbation set was built for a different scheme")
+    return tuple(BeamVector(p, w.constraint) for p in probes(
+        scheme, w.w, pset.column(frame_index), beta, w.constraint))
 
 
 def tr_perturb(state: TrState, beta, pset) -> BeamVector:
     """Training candidate for the current TR frame."""
-    if pset.scheme_tag is not Scheme.TR:
-        raise ValueError("perturbation set was built for a different scheme")
-    return perturb_vector(state.w_data, state.frame_index, beta, pset)
+    return _perturb(Scheme.TR, state.w_data, state.frame_index, beta, pset)[0]
 
 
 def tr_step(state: TrState, w_tilde: BeamVector, j_training) -> tuple[TrState, int]:
-    """One TR transition from the measured training objective.
-
-    The stored best decays by the forgetting factor once per frame before the
-    comparison; the feedback bit is 1 only on strict improvement, so exact
-    ties reject.  Returns the successor state and the broadcast bit.
-    """
+    """One TR transition from the measured training objective (the rule of
+    `decide`).  Returns the successor state and the broadcast bit."""
     if j_training < 0:
         raise ValueError("objectives are nonnegative by construction")
-    decayed = state.forgetting_factor * state.best_objective
-    if j_training > decayed:
-        bit = 1
-        new_w = w_tilde
-        new_best = float(j_training)
-    else:
-        bit = 0
-        new_w = state.w_data
-        new_best = float(decayed)
-    return TrState(new_w, new_best, state.frame_index + 1,
-                   state.forgetting_factor), bit
+    bit, best = decide(Scheme.TR, (j_training,), state.best_objective,
+                       state.forgetting_factor)
+    w = select(state.w_data.w, (w_tilde.w,), bit)
+    return TrState(BeamVector(w, state.w_data.constraint), float(best),
+                   state.frame_index + 1, state.forgetting_factor), int(bit)
 
 
 def pm_perturb(state: PmState, beta, pset):
     """(plus, minus) training candidates for the current PM frame."""
-    if pset.scheme_tag is not Scheme.PM:
-        raise ValueError("perturbation set was built for a different scheme")
-    return candidate_pair(state.w_data, state.frame_index, beta, pset)
+    return _perturb(Scheme.PM, state.w_data, state.frame_index, beta, pset)
 
 
 def pm_step(state: PmState, w_plus: BeamVector, w_minus: BeamVector,
             j_plus, j_minus) -> tuple[PmState, int]:
-    """One PM transition; the pre-step vector is always discarded.
-
-    Feedback bit 1 selects the minus candidate; ties go to plus (bit 0).
-    """
+    """One PM transition (the rule of `decide`); the pre-step vector is
+    always discarded.  Returns the successor state and the broadcast bit."""
     if j_plus < 0 or j_minus < 0:
         raise ValueError("objectives are nonnegative by construction")
-    if j_minus > j_plus:
-        bit = 1
-        new_w = w_minus
-    else:
-        bit = 0
-        new_w = w_plus
-    return PmState(new_w, state.frame_index + 1), bit
+    bit, _ = decide(Scheme.PM, (j_plus, j_minus))
+    w = select(state.w_data.w, (w_plus.w, w_minus.w), bit)
+    return PmState(BeamVector(w, w_plus.constraint),
+                   state.frame_index + 1), int(bit)

@@ -171,6 +171,10 @@ class ExperimentConfig:
         if len(self.distances) != self.num_relays \
                 or any(d <= 0 for d in self.distances):
             raise ConfigError("distances must list one positive value per relay")
+        # a relay's mean |h*g|^2, d**-4, and its inverse must be normal floats
+        if any(abs(math.log(d)) > -math.log(np.finfo(float).tiny) / 4
+               for d in self.distances):
+            raise ConfigError("distances must lie in [1.2e-77, 8.1e76]")
         if self.num_realizations < 1 or self.num_frames < 1:
             raise ConfigError("num_realizations and num_frames must be >= 1")
         if self.warmup_frames < 0:
@@ -252,8 +256,8 @@ def _detect_bits(y, h_hat):
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (leading axes index links; the arithmetic of each link is
-# that of adaptation.tr_step/pm_step, which tests hold them to bit for bit)
+# batched kernels (leading axes index links): the adaptation step of
+# `adaptation` on exact objectives
 
 def _objective_batch(objective, w, hbar, gbar, noise_power):
     if objective is Objective.POWER:
@@ -261,34 +265,22 @@ def _objective_batch(objective, w, hbar, gbar, noise_power):
     return network._snr(w, hbar, gbar, noise_power)
 
 
-def _normalize_batch(w_raw, constraint, fallback):
-    if constraint is ConstraintKind.SUM_POWER:
-        return adaptation._normalize_sum(w_raw, fallback)
-    return adaptation._normalize_per_relay(w_raw, fallback)
-
-
 def _tr_batch(w, best, frame_index, beta, pset, constraint, objective,
               hbar, gbar, noise_power, forgetting):
-    q = pset.column(frame_index)
-    cand = _normalize_batch(w + beta * q, constraint, w)
-    j1 = _objective_batch(objective, cand, hbar, gbar, noise_power)
-    decayed = forgetting * best
-    take = j1 > decayed
-    w_new = np.where(take[..., None], cand, w)
-    best_new = np.where(take, j1, decayed)
-    return w_new, best_new, take
+    cand = adaptation.probes(Scheme.TR, w, pset.column(frame_index), beta,
+                             constraint)
+    j = _objective_batch(objective, cand[0], hbar, gbar, noise_power)
+    take, best = adaptation.decide(Scheme.TR, (j,), best, forgetting)
+    return adaptation.select(w, cand, take), best, take
 
 
 def _pm_batch(w, frame_index, beta, pset, constraint, objective,
               hbar, gbar, noise_power):
-    q = pset.column(frame_index)
-    plus = _normalize_batch(w + beta * q, constraint, w)
-    minus = _normalize_batch(w - beta * q, constraint, w)
-    j_plus = _objective_batch(objective, plus, hbar, gbar, noise_power)
-    j_minus = _objective_batch(objective, minus, hbar, gbar, noise_power)
-    take_minus = j_minus > j_plus
-    w_new = np.where(take_minus[..., None], minus, plus)
-    return w_new, take_minus
+    cand = adaptation.probes(Scheme.PM, w, pset.column(frame_index), beta,
+                             constraint)
+    take_minus, _ = adaptation.decide(Scheme.PM, [
+        _objective_batch(objective, c, hbar, gbar, noise_power) for c in cand])
+    return adaptation.select(w, cand, take_minus), take_minus
 
 
 def _adapt(cfg, pset, frame_index, w, best, objective, constraint,
@@ -327,16 +319,19 @@ def _iter_block_results(fn, payloads, workers):
     once the first ones are started, a new payload is pulled only after a
     result has been yielded and merged by the caller, so a payload
     generator can look at everything merged so far.  With more than one
-    worker a single process pool serves the whole call.
+    worker a single process pool serves the whole call; fork starts all its
+    processes at once, so it gets no more than there are blocks.
     """
     payloads = iter(payloads)
     if workers <= 1:
         for payload in payloads:
             yield fn(*payload)
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = collections.deque(
-            pool.submit(fn, *p) for p in itertools.islice(payloads, workers))
+    first = list(itertools.islice(payloads, workers))
+    if not first:
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(first)) as pool:
+        pending = collections.deque(pool.submit(fn, *p) for p in first)
         while pending:
             yield pending.popleft().result()
             payload = next(payloads, None)
@@ -387,8 +382,12 @@ def _convergence_block(cfg, start, count):
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
                                         noise_power)
-    w_opt = oracles.closed_form("s-sp", hbar, gbar)
-    snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+        w_opt = oracles.closed_form("s-sp", hbar, gbar)
+        snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
+    if not np.all((snr_opt > 0) & (snr_opt < np.inf)):
+        raise ConfigError("the s-sp SNR is not finite and positive: at this "
+                          "noise power every relay's SNR is out of range")
     pset = build_perturbation_set(r, cfg.scheme)
     w = np.tile(init_weights(r, constraint).w, (count, 1))
     best = np.zeros(count)
@@ -604,36 +603,30 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
 
     `gx` (relay receptions times forward channels, (..., L, R)) and `v`
     (destination noise, (..., L)) come split into the plus pilot half, the
-    minus pilot half and the data interval; pilots are all ones.  Data is
-    detected with `carry`, the previous frame's winning half estimate (its
-    own winner on frame 0), or with `whole`, the full-interval estimate.
-    Returns (weights, winning half estimate, data estimate, data samples).
+    minus pilot half and the data interval; pilots are all ones, and their
+    estimates score the probes.  Data is detected with `carry`, the previous
+    frame's winning half estimate (its own winner on frame 0), or with
+    `whole`, the full-interval estimate.  Returns (weights, winning half
+    estimate, data estimate, data samples).
     """
     alpha = network.relay_gains(_relay_power(constraint, w.shape[-1]),
                                 measured)
-    plus = _normalize_batch(w + beta * q, constraint, w)
-    minus = _normalize_batch(w - beta * q, constraint, w)
-    y_p1, y_p2, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
-                       for gx_seg, ww, v_seg in zip(gx, (plus, minus, w), v))
-    p1, p2 = (np.ones(y.shape[-1], dtype=complex) for y in (y_p1, y_p2))
-    h_plus = estimation._channel_estimate(y_p1, p1)
-    h_minus = estimation._channel_estimate(y_p2, p2)
-    if objective is Objective.POWER:
-        j_plus = np.abs(h_plus) ** 2
-        j_minus = np.abs(h_minus) ** 2
-    else:
-        j_plus = estimation._snr_estimate(h_plus, y_p1, p1)
-        j_minus = estimation._snr_estimate(h_minus, y_p2, p2)
-    take_minus = j_minus > j_plus
-    h_winner = np.where(take_minus, h_minus, h_plus)
+    cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
+    *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
+               for gx_seg, ww, v_seg in zip(gx, cand + (w,), v))
+    pilots = [np.ones(yy.shape[-1], dtype=complex) for yy in y]
+    h = [estimation._channel_estimate(*yp) for yp in zip(y, pilots)]
+    j = [np.abs(hh) ** 2 if objective is Objective.POWER
+         else estimation._snr_estimate(hh, yy, p)
+         for hh, yy, p in zip(h, y, pilots)]
+    take_minus, _ = adaptation.decide(Scheme.PM, j)
+    h_winner = np.where(take_minus, h[1], h[0])
     if whole:
-        h_data = estimation._channel_estimate(
-            np.concatenate([y_p1, y_p2], axis=-1),
-            np.concatenate([p1, p2]))
+        h_data = estimation._channel_estimate(np.concatenate(y, axis=-1),
+                                              np.concatenate(pilots))
     else:
         h_data = h_winner if carry is None else carry
-    w_new = np.where(take_minus[..., None], minus, plus)
-    return w_new, h_winner, h_data, y_d
+    return adaptation.select(w, cand, take_minus), h_winner, h_data, y_d
 
 
 def _tracking_block(cfg, start, count):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import (BeamVector, ConstraintKind, Scheme,
-                         build_perturbation_set, candidate_pair, init_weights,
-                         normalize, perturb_vector)
+                         build_perturbation_set, init_weights, normalize,
+                         probes, select)
 
 
 class ProtocolError(RuntimeError):
@@ -195,15 +195,13 @@ class RelayAgent:
         return complex(self.weights.w[self.registry.position_of(self.relay_index)])
 
     def advance(self, feedback_bit) -> None:
-        """Apply one frame's feedback bit to the local mirror."""
-        if self.scheme is Scheme.TR:
-            cand = perturb_vector(self.weights, self.frame_index, self.beta, self.pset)
-            if feedback_bit:
-                self.weights = cand
-        else:
-            plus, minus = candidate_pair(self.weights, self.frame_index,
-                                         self.beta, self.pset)
-            self.weights = minus if feedback_bit else plus
+        """Apply one frame's feedback bit to the local mirror: the
+        destination's probes, selected by the bit instead of objectives."""
+        w = self.weights.w
+        cand = probes(self.scheme, w, self.pset.column(self.frame_index),
+                      self.beta, self.constraint)
+        self.weights = BeamVector(select(w, cand, feedback_bit),
+                                  self.constraint)
         self.frame_index += 1
 
     def apply_message(self, msg) -> None:

@@ -17,11 +17,11 @@ from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
     build_perturbation_set,
-    candidate_pair,
     init_pm_state,
     init_tr_state,
     init_weights,
     normalize,
+    pm_perturb,
     pm_step,
     tr_perturb,
     tr_step,
@@ -321,8 +321,7 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
             cand = tr_perturb(state, 0.1, pset)
             state, bit = tr_step(state, cand, objective_snr(cand, cp, noise))
         else:
-            plus, minus = candidate_pair(state.w_data, state.frame_index,
-                                         0.1, pset)
+            plus, minus = pm_perturb(state, 0.1, pset)
             state, bit = pm_step(state, plus, minus,
                                  objective_snr(plus, cp, noise),
                                  objective_snr(minus, cp, noise))

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaybf.adaptation import (CONSTRAINT_TOL, BeamVector, ConstraintKind,
-                                Scheme, build_perturbation_set, candidate_pair,
+                                Scheme, build_perturbation_set, decide,
                                 dft_matrix, init_pm_state, init_tr_state,
-                                init_weights, normalize, perturb_vector,
-                                pm_perturb, pm_step, tr_perturb, tr_step)
-from relaybf.channel import PathLoss, sample_static_rayleigh
+                                init_weights, normalize, pm_perturb, pm_step,
+                                probes, project, select, tr_perturb, tr_step)
+from relaybf.channel import PathLoss, complex_normal, sample_static_rayleigh
 from relaybf.network import (NetworkParams, compound_params,
                              ideal_relay_gains, objective_snr)
 
@@ -85,24 +85,56 @@ def test_perturbation_set_layout(scheme, factor):
     np.testing.assert_allclose(col0, col0[0] * np.ones(r), atol=1e-15)
 
 
-def test_candidate_pair_matches_perturb_vector():
-    pset = build_perturbation_set(3, Scheme.PM)
-    w = init_weights(3, SUM)
-    plus, minus = candidate_pair(w, 2, 0.3, pset)
-    np.testing.assert_array_equal(plus.w, perturb_vector(w, 2, 0.3, pset).w)
-    np.testing.assert_array_equal(minus.w,
-                                  perturb_vector(w, 2, -0.3, pset).w)
+def test_pm_probes_are_tr_probes_at_plus_minus_beta():
+    rng = np.random.default_rng(3)
+    q = build_perturbation_set(3, Scheme.PM).column(2)
+    for constraint in (SUM, PER):
+        w = project(complex_normal(rng, (5, 3)), constraint,
+                    init_weights(3, constraint).w)
+        plus, minus = probes(Scheme.PM, w, q, 0.3, constraint)
+        (tr_plus,) = probes(Scheme.TR, w, q, 0.3, constraint)
+        (tr_minus,) = probes(Scheme.TR, w, q, -0.3, constraint)
+        np.testing.assert_array_equal(plus, tr_plus)
+        np.testing.assert_array_equal(minus, tr_minus)
+        # a batch is its links one at a time
+        for row, p, m in zip(w, plus, minus):
+            np.testing.assert_array_equal(
+                np.stack(probes(Scheme.PM, row, q, 0.3, constraint)),
+                np.stack([p, m]))
+
+
+def test_project_rejects_unknown_constraint():
+    with pytest.raises(ValueError):
+        project(np.ones(2), "sum-power", np.ones(2))
+
+
+def test_decide_and_select_on_a_batch():
+    plus, minus = np.array([[1.0, 0.0]] * 3), np.array([[0.0, 1.0]] * 3)
+    bit, best = decide(Scheme.PM, (np.array([2.0, 2.0, 3.0]),
+                                   np.array([3.0, 2.0, 2.0])))
+    assert bit.tolist() == [True, False, False]  # the tie keeps plus
+    assert best is None
+    np.testing.assert_array_equal(select(None, (plus, minus), bit),
+                                  [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    # TR: the stored best decays first, a tie with it rejects
+    bit, best = decide(Scheme.TR, (np.array([0.95, 0.5, 0.45]),),
+                       np.array([1.0, 1.0, 0.5]), 0.9)
+    assert bit.tolist() == [True, False, False]
+    np.testing.assert_array_equal(best, [0.95, 0.9, 0.45])
+    np.testing.assert_array_equal(select(minus, (plus,), bit),
+                                  [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
 
 def test_perturbed_vectors_stay_feasible():
-    rng = np.random.default_rng(0)
     for constraint in (SUM, PER):
         for scheme in (Scheme.PM, Scheme.TR):
             pset = build_perturbation_set(4, scheme)
-            w = init_weights(4, constraint)
+            w = init_weights(4, constraint).w
             for k in range(12):
-                w = perturb_vector(w, k, 0.25, pset)
-                assert w.feasibility_error() < 1e-12
+                cands = probes(scheme, w, pset.column(k), 0.25, constraint)
+                for c in cands:
+                    assert BeamVector(c, constraint).feasibility_error() < 1e-12
+                w = cands[-1]
 
 
 def test_scheme_tag_mismatch_rejected():

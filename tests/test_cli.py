@@ -1,11 +1,20 @@
 """End-to-end tests for the command line front end (in-process)."""
 
+import contextlib
+import csv
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaybf.cli import main
-from relaybf.engine import ConvergenceResult
+from relaybf.engine import SCHEMES, ConvergenceResult
 
 CONV_CFG = {
     "scheme": "pm", "num_realizations": 12, "num_frames": 12,
@@ -64,6 +73,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     {"num_frames": 2.5},
     {"num_relays": True, "distances": [1.0]},
     {"snr_db_grid": [-1e6]},
+    # every compound channel underflowed to 0: exit 0, meaningless counts
+    {"distances": [1e100, 1e100, 1e100]},
 ])
 def test_invalid_numbers_exit_1_with_one_line(tmp_path, capsys, bad):
     cfg = _cfg_file(tmp_path, {**BER_CFG, **bad})
@@ -208,3 +219,99 @@ def test_oracle_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle-check: PASS" in out
     assert "max_power_margin" in out
+
+
+_WIDE = st.floats(-40.0, 60.0) | st.floats(-40.0, 60.0) \
+    | st.floats(-3200.0, 3300.0) | st.floats()
+_POSITIVE = st.floats(1e-3, 2.0) | st.floats(1e-3, 2.0) \
+    | st.floats(min_value=0.0, allow_infinity=False)
+_ADAPTIVE = sorted(t for t, (objective, _) in SCHEMES.items() if objective)
+_JUNK = st.none() | st.booleans() | st.text(max_size=2) | st.integers() \
+    | st.floats() | st.lists(st.integers(-1, 2), max_size=2)
+
+
+@st.composite
+def _cli_configs(draw):
+    """Config objects that are mostly valid, with wide numbers and, in a
+    quarter of them, one key replaced by arbitrary JSON.  The sizes are
+    small, and always present so that no default size applies."""
+    r = draw(st.integers(1, 4))
+    frames = draw(st.integers(1, 3))
+    data = {
+        "num_realizations": draw(st.integers(1, 5)), "num_frames": frames,
+        "warmup_frames": draw(st.integers(0, 3)),
+        "num_pilots": draw(st.sampled_from([1, 2, 4, 4, 6])),
+        "num_data": draw(st.integers(1, 4)),
+        "block_size": draw(st.integers(1, 3)),
+        "num_trajectories": draw(st.integers(0, 3)),
+        "scheme": draw(st.sampled_from(["pm", "pm", "tr"])),
+        "num_relays": r,
+        # log-uniform over and past the range that keeps d**-4 normal
+        "distances": [10.0 ** e for e in draw(
+            st.lists(st.floats(-78.0, 78.0), min_size=r, max_size=r))],
+        "snr_db_grid": draw(st.lists(_WIDE, min_size=1, max_size=2)),
+    }
+    optional = {
+        "beta": _POSITIVE,
+        "betas": st.lists(_POSITIVE, min_size=1, max_size=2),
+        "normalized_doppler_grid": st.lists(st.floats(0.0, 1.0) | _POSITIVE,
+                                            min_size=1, max_size=2),
+        "forgetting_factor": st.floats(0.0, 1.0),
+        "pm_estimation_mode": st.sampled_from(["split", "whole"]),
+        # adaptive tokens alone, which tracking accepts, or any tokens
+        "schemes": st.lists(st.sampled_from(_ADAPTIVE), min_size=1,
+                            unique=True)
+        | st.lists(st.sampled_from(sorted(SCHEMES)), min_size=1, max_size=3,
+                   unique=True),
+        "error_target": st.integers(1, 50), "min_bits": st.integers(0, 100),
+        "bits_cap": st.integers(1, 200),
+        "cdf_frames": st.lists(st.integers(0, frames), max_size=2),
+        "gap_thresholds": st.lists(_POSITIVE, max_size=2),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        data[key] = draw(optional[key])
+    if draw(st.integers(0, 3)) == 0:
+        data[draw(st.sampled_from(sorted(data)))] = draw(_JUNK)
+    return data
+
+
+_SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
+          "num_pilots": 4, "num_data": 2, "block_size": 2,
+          "num_trajectories": 2}
+
+
+@settings(max_examples=60)
+@given(data=_cli_configs())
+# every compound channel underflows; the s-sp reference SNR was 0/0
+@example(data={**_SMALL, "scheme": "pm", "distances": [1e100] * 3})
+# distances in range, but each relay's SNR underflows at this noise power
+@example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [-3000.0]})
+# ... or every |hbar|^2 does, so the s-sp weights are 0/0 (with warnings)
+@example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [-300.0],
+               "distances": [1e76] * 3})
+def test_any_json_config_exits_1_or_writes_finite_csvs(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("convergence", "ber", "tracking"):
+            out = Path(tmp) / command
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            if code == 1:
+                # a warning would print above the error line
+                assert not caught, [str(w.message) for w in caught]
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+                assert not out.exists()
+                continue
+            assert code == 0, err.getvalue()
+            for path in out.glob("*.csv"):
+                with open(path) as fh:
+                    rows = list(csv.reader(fh))[1:]
+                for value in (v for row in rows for v in row
+                              if v not in SCHEMES):
+                    assert math.isfinite(float(value)), (path.name, value)

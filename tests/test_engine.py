@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from relaybf import engine, network
 from relaybf.adaptation import (
     ConstraintKind,
+    PmState,
     Scheme,
     build_perturbation_set,
-    candidate_pair,
     init_pm_state,
     init_tr_state,
     init_weights,
@@ -38,6 +38,7 @@ from relaybf.engine import (
 )
 from relaybf.estimation import (PilotBlock, estimate_compound_channel,
                                 estimate_snr)
+from relaybf.membership import RelayAgent, RelayRegistry
 from relaybf.network import CompoundParams, objective_power, objective_snr
 
 
@@ -50,6 +51,7 @@ def test_config_defaults_and_coercion():
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_DISTANCE = st.floats(1.3e-77, 8e76)  # d**-4 and d**4 stay normal floats
 _COUNT = st.integers(1, 10**6)
 
 
@@ -67,7 +69,7 @@ def _valid_config_dicts(draw):
         "normalized_doppler_grid": draw(st.lists(st.floats(0.0, 1.0),
                                                  min_size=1, max_size=4)),
         "num_relays": r,
-        "distances": draw(st.lists(_POSITIVE, min_size=r, max_size=r)),
+        "distances": draw(st.lists(_DISTANCE, min_size=r, max_size=r)),
         "num_realizations": draw(_COUNT),
         "num_frames": frames,
         "warmup_frames": draw(st.integers(0, 10**6)),
@@ -151,6 +153,9 @@ def test_config_round_trip_and_unknown_keys(valid, anything):
     {"betas": []},
     {"betas": [0.1, float("inf")]},
     {"distances": [1.0, 3.0, float("inf")]},
+    # d**-4 under- or overflows: every compound channel is 0 or inf
+    {"distances": [1e100, 1e100, 1e100]},
+    {"distances": [1.0, 3.0, 1e-100]},
     {"snr_db_grid": [float("inf")]},
     {"snr_db_grid": [-1e6]},  # noise power overflows
     {"snr_db_grid": [1e6]},   # noise power underflows to zero
@@ -231,8 +236,9 @@ def test_noiseless_link_detects_without_errors():
 def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                                            objective, forgetting, snr_db,
                                            seed):
-    # The batch kernels and the per-link step functions must agree bitwise:
-    # the distributed agents rely on it.
+    # The batch kernels, the per-link step functions and the relay mirror
+    # fed the kernel's bits must agree bitwise: the distributed agents rely
+    # on it.
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-snr_db / 10.0)
     hbar, gbar = network.ideal_compound(
@@ -251,6 +257,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     pset = build_perturbation_set(r, scheme)
     w = init_weights(r, constraint).w[None, :].copy()
     best = np.zeros(1)
+    agent = RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
     if scheme is Scheme.TR:
         state = init_tr_state(r, constraint, forgetting)
     else:
@@ -280,6 +287,8 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                     assert bit == 0
         assert int(take[0]) == bit
         assert np.array_equal(w[0], state.w_data.w)
+        agent.advance(int(take[0]))
+        assert np.array_equal(agent.weight_vector, w[0])
 
 
 CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
@@ -486,6 +495,34 @@ def test_scheduler_pulls_payloads_lazily(workers):
     assert results == [-i for i in range(7)]
 
 
+def test_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # fork starts every pool worker at once, so a huge --workers on a short
+    # run must not ask for that many; the fake pool starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = ExperimentConfig(**{**CONV_CFG, "block_size": 20})  # 3 blocks
+    serial = run_convergence_experiment(cfg)
+    pooled = run_convergence_experiment(cfg, workers=10**6)
+    assert sizes == [3]
+    np.testing.assert_array_equal(pooled.snr_normalized, serial.snr_normalized)
+
+
 def test_tracking_rejects_wrong_setup():
     with pytest.raises(ConfigError):
         run_tracking_experiment(ExperimentConfig(**{**TRACK_CFG,
@@ -540,7 +577,7 @@ def test_realistic_pm_detection_uses_previous_winner():
             measured, False)
         # the same frame through the scalar candidates and estimators
         alpha = np.sqrt(1.0 / measured[0])
-        probes = candidate_pair(w, f, 0.1, pset)
+        probes = pm_perturb(PmState(w, f), 0.1, pset)
         blocks = [PilotBlock(np.ones(5), np.sum(
             gx[i][0] * (np.conj(c.w) * alpha)[None, :], axis=-1) + v[i][0])
             for i, c in enumerate(probes)]
@@ -568,7 +605,7 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     _, winner, h_data, _ = engine._pm_track_frame(
         w0.w[None, :], np.array([7.0 + 0j]), 0.1, pset.column(1),
         Objective.POWER, SUM, gx, v, measured, True)
-    plus, minus = candidate_pair(w0, 1, 0.1, pset)
+    plus, minus = pm_perturb(PmState(w0, 1), 0.1, pset)
     a = lambda c: np.sum(np.conj(c.w) * g * h / np.abs(h))
     assert a(plus) != pytest.approx(a(minus), rel=1e-3)
     assert h_data[0] == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)

@@ -10,9 +10,9 @@ from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
     build_perturbation_set,
-    candidate_pair,
     init_pm_state,
     init_tr_state,
+    pm_perturb,
     pm_step,
     tr_perturb,
     tr_step,
@@ -181,7 +181,7 @@ def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
             pset = build_perturbation_set(reg.num_active, Scheme.PM)
             messages[k] = msg
         cp = CompoundParams(hbar_full[reg.active], np.zeros(reg.num_active))
-        plus, minus = candidate_pair(state.w_data, state.frame_index, beta, pset)
+        plus, minus = pm_perturb(state, beta, pset)
         state, bit = pm_step(state, plus, minus,
                              objective_power(plus, cp),
                              objective_power(minus, cp))
