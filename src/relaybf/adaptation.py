@@ -9,9 +9,14 @@ and always keeps the better half.  Both consume exactly one feedback bit per
 frame, so relays that observe the bit stream can mirror the weight trajectory
 without any channel knowledge.
 
-The step is written once, batched over leading axes (links): `project`,
-`probes`, `decide` and `select`.  A relay runs `probes` and `select` with
-the broadcast bit, so it computes the destination's vector by construction.
+The step is written once, batched over links: `project`, `probes`,
+`decide` and `select`.  A relay runs `probes` and `select` with the
+broadcast bit, so it computes the destination's vector by construction.
+
+Batched weights and compound channels put the relay axis first, shaped
+(R, *links); a single vector is the batch with no link axes.  Relay sums go
+through `relay_sum`, which adds the R slices of a stack and so avoids numpy's
+slow reductions over a short last axis.
 """
 
 from __future__ import annotations
@@ -66,15 +71,33 @@ class BeamVector:
         return float(np.max(np.abs(np.abs(self.w) ** 2 - 1.0)))
 
 
+# numpy's sum adds fewer than 8 doubles one by one, starting from +0.0 (a
+# complex number counts as two doubles); longer rows use another order
+_SEQUENTIAL_RELAYS = {"f": 7, "c": 3}
+
+
+def relay_sum(x):
+    """Sum of `x` (R, ...) over its leading (relay) axis, bit for bit equal
+    to `np.sum` over the last axis of a contiguous relay-last copy."""
+    if not 0 < x.shape[0] <= _SEQUENTIAL_RELAYS.get(x.dtype.kind, 0):
+        return np.sum(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
+    total = x[0] + 0.0  # as numpy: -0.0 + 0.0 is +0.0
+    for x_i in x[1:]:
+        total += x_i
+    return total
+
+
 def _normalize_sum(w_raw, fallback):
-    norm = np.sqrt(np.sum(np.abs(w_raw) ** 2, axis=-1, keepdims=True))
+    norm = np.sqrt(relay_sum(np.abs(w_raw) ** 2))
     if np.isinf(norm).any():
-        # |w|^2 overflowed (norm >= 1e154): scaling those rows by a power of
-        # two is exact, keeps their direction, and leaves norm > ZERO_NORM
+        # |w|^2 overflowed (norm >= 1e154): scaling those vectors by a power
+        # of two is exact, keeps their direction, and leaves norm > ZERO_NORM
         w_raw = np.where(np.isinf(norm), w_raw * 2.0 ** -530, w_raw)
-        norm = np.sqrt(np.sum(np.abs(w_raw) ** 2, axis=-1, keepdims=True))
-    safe = np.where(norm < ZERO_NORM, 1.0, norm)
-    return np.where(norm < ZERO_NORM, fallback, w_raw / safe)
+        norm = np.sqrt(relay_sum(np.abs(w_raw) ** 2))
+    small = norm < ZERO_NORM
+    if not small.any():
+        return w_raw / norm
+    return np.where(small, fallback, w_raw / np.where(small, 1.0, norm))
 
 
 def _normalize_per_relay(w_raw, fallback):
@@ -87,7 +110,7 @@ def _normalize_per_relay(w_raw, fallback):
 
 
 def project(w_raw, constraint, fallback):
-    """Project raw updates (..., R) onto the constraint set.
+    """Project raw updates (R, ...) onto the constraint set.
 
     Sum-power scales each vector to unit norm; per-relay strips each entry
     down to its phase.  Degenerate inputs (vector norm, or a single entry,
@@ -124,10 +147,6 @@ class PerturbationSet:
         self.columns = np.asarray(self.columns, dtype=complex)
         if self.columns.ndim != 2:
             raise ValueError("columns must be a 2-D array")
-
-    @property
-    def num_relays(self) -> int:
-        return int(self.columns.shape[0])
 
     @property
     def num_columns(self) -> int:
@@ -190,8 +209,10 @@ def init_pm_state(num_relays, constraint) -> PmState:
 
 
 def probes(scheme, w, q, beta, constraint):
-    """Projected training candidates of working vectors `w` (..., R) along
-    direction `q`: (w + beta*q,) for TR, (w + beta*q, w - beta*q) for PM."""
+    """Projected training candidates of working vectors `w` (R, ...) along
+    the direction `q` (R,): (w + beta*q,) for TR, (w + beta*q, w - beta*q)
+    for PM."""
+    q = np.reshape(q, np.shape(q) + (1,) * (np.ndim(w) - 1))
     plus = project(w + beta * q, constraint, w)
     if scheme is Scheme.TR:
         return (plus,)
@@ -218,7 +239,7 @@ def select(w, probes, bit):
     """Next working vector: bit 1 takes the last probe, bit 0 keeps the one
     before it (TR: `w`, PM: the plus probe)."""
     keep, take = ((w,) + tuple(probes))[-2:]
-    return np.where(np.asarray(bit)[..., None], take, keep)
+    return np.where(bit, take, keep)
 
 
 def _perturb(scheme, w: BeamVector, frame_index, beta, pset):

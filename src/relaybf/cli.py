@@ -210,7 +210,7 @@ def _cmd_oracle_check(args) -> int:
     h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
     achieved = network._signal_power(oracles._psp(hbar), hbar)
-    expected = np.sum(np.abs(hbar) ** 2, axis=-1)  # ||hbar||^2
+    expected = np.sum(np.abs(hbar) ** 2, axis=0)  # ||hbar||^2
     if np.any(np.abs(achieved - expected) > 1e-9 * np.maximum(expected, 1.0)):
         print("oracle-check: FAIL (power objective of the matched "
               "vector deviates from the closed form)")
@@ -219,7 +219,7 @@ def _cmd_oracle_check(args) -> int:
     for i in range(cfg.num_realizations):
         rng = engine._stream(cfg.seed, i, engine._STREAM_NOISE)
         p_margin, s_margin = oracles.random_search_margins(
-            network.CompoundParams(hbar[i], gbar[i]), noise_power,
+            network.CompoundParams(hbar[:, i], gbar[:, i]), noise_power,
             ORACLE_CHECK_VECTORS, rng)
         worst_power = max(worst_power, p_margin)
         worst_snr = max(worst_snr, s_margin)

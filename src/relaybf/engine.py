@@ -5,7 +5,7 @@ followed by a data interval sent under the current working vector.
 Convergence and BER give the destination exact objectives and the exact
 compound channel; tracking runs per-symbol time-varying channels, measured
 relay gains and pilot-based estimates.  Every kernel advances a whole stack
-of links at once, one per leading-axis entry.
+of links at once; weights and channels are shaped (R, *links), relays first.
 
 Experiments fan independent realizations out over fixed-size blocks.  Every
 realization draws from its own seed-derived sub-streams, and blocks are
@@ -97,10 +97,12 @@ _INT_FIELDS = ("num_relays", "num_realizations", "num_frames",
                "error_target", "min_bits", "bits_cap", "block_size",
                "num_trajectories")
 _REAL_FIELDS = ("beta", "forgetting_factor")
-# list fields -> entry check; None (a derived default) is left alone
+# list fields -> entry check
 _LIST_FIELDS = {"betas": _as_real, "snr_db_grid": _as_real,
                 "normalized_doppler_grid": _as_real, "distances": _as_real,
                 "cdf_frames": _as_int, "gap_thresholds": _as_real}
+# list fields whose None stands for a default derived from other keys
+_DERIVED_LISTS = ("betas", "cdf_frames", "gap_thresholds")
 
 
 @dataclass
@@ -142,8 +144,9 @@ class ExperimentConfig:
         for name in _REAL_FIELDS:
             setattr(self, name, _as_real(getattr(self, name), name))
         for name, item in _LIST_FIELDS.items():
-            if getattr(self, name) is not None:
-                setattr(self, name, _as_list(getattr(self, name), name, item))
+            value = getattr(self, name)
+            if value is not None or name not in _DERIVED_LISTS:
+                setattr(self, name, _as_list(value, name, item))
         if self.betas is None:
             self.betas = [self.beta]
         if self.cdf_frames is None:
@@ -256,8 +259,8 @@ def _detect_bits(y, h_hat):
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (leading axes index links): the adaptation step of
-# `adaptation` on exact objectives
+# batched kernels (weights and compound channels (R, *links), relays
+# first): the adaptation step of `adaptation` on exact objectives
 
 def _objective_batch(objective, w, hbar, gbar, noise_power):
     if objective is Objective.POWER:
@@ -301,14 +304,14 @@ def _relay_power(constraint, num_relays):
 
 
 def _draw_channels(cfg, start, count):
-    """Per-realization static channel draws, stacked (count, R)."""
+    """Per-realization static channel draws, stacked (R, count)."""
     pl = PathLoss(cfg.distances)
-    h = np.empty((count, cfg.num_relays), dtype=complex)
+    h = np.empty((cfg.num_relays, count), dtype=complex)
     g = np.empty_like(h)
     for j, i in enumerate(range(start, start + count)):
         ch = sample_static_rayleigh(_stream(cfg.seed, i, _STREAM_CHANNEL), pl)
-        h[j] = ch.h
-        g[j] = ch.g
+        h[:, j] = ch.h
+        g[:, j] = ch.g
     return h, g
 
 
@@ -389,7 +392,7 @@ def _convergence_block(cfg, start, count):
         raise ConfigError("the s-sp SNR is not finite and positive: at this "
                           "noise power every relay's SNR is out of range")
     pset = build_perturbation_set(r, cfg.scheme)
-    w = np.tile(init_weights(r, constraint).w, (count, 1))
+    w = np.tile(init_weights(r, constraint).w[:, None], (1, count))
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
@@ -470,7 +473,7 @@ def _ber_block(cfg, points, start, count):
 
     `points` are positions in `cfg.snr_db_grid`.  The channels, bits and
     noise of each realization are drawn once and shared by every point and
-    scheme; the points advance together on a leading axis.  Returns the
+    scheme; the points advance together on a link axis.  Returns the
     block's bits per point, `points`, and errors shaped (points, schemes).
     """
     r = cfg.num_relays
@@ -479,8 +482,8 @@ def _ber_block(cfg, points, start, count):
     n_frames, n_data = cfg.num_frames, cfg.num_data
     schemes = [(token,) + SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
-    compound = {ck: network.ideal_compound(h, g, _relay_power(ck, r),
-                                           noise_power[..., None])
+    compound = {ck: network.ideal_compound(h[:, None], g[:, None],
+                                           _relay_power(ck, r), noise_power)
                 for ck in {ck for _, _, ck in schemes}}
 
     weights, best = [], []
@@ -491,7 +494,8 @@ def _ber_block(cfg, points, start, count):
         if objective is None:
             w = oracles.closed_form(token, hbar, gbar)
         else:
-            w = np.tile(init_weights(r, ck).w, (len(points), count, 1))
+            w = np.tile(init_weights(r, ck).w[:, None, None],
+                        (1, len(points), count))
             b = np.zeros((len(points), count))
             for k in range(cfg.warmup_frames):
                 w, b, _ = _adapt(cfg, pset, k, w, b, objective, ck,
@@ -515,7 +519,7 @@ def _ber_block(cfg, points, start, count):
         for t, (token, objective, ck) in enumerate(schemes):
             hbar, gbar = compound[ck]
             w = weights[t]
-            a = np.sum(np.conj(w) * hbar, axis=-1)
+            a = adaptation.relay_sum(np.conj(w) * hbar)
             sigma = np.sqrt(noise_power
                             * (1.0 + network._noise_gain(w, gbar)))
             y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
@@ -599,7 +603,7 @@ class TrackingResult:
 
 def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
                     measured, whole):
-    """One realistic PM frame for every link on the leading axes of `w`.
+    """One realistic PM frame for every link of `w` (R, *links).
 
     `gx` (relay receptions times forward channels, (..., L, R)) and `v`
     (destination noise, (..., L)) come split into the plus pilot half, the
@@ -609,10 +613,10 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     `whole`, the full-interval estimate.  Returns (weights, winning half
     estimate, data estimate, data samples).
     """
-    alpha = network.relay_gains(_relay_power(constraint, w.shape[-1]),
+    alpha = network.relay_gains(_relay_power(constraint, w.shape[0]),
                                 measured)
     cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
-    *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
+    *y, y_d = (network.combine(gx_seg, np.moveaxis(ww, 0, -1), alpha, v_seg)
                for gx_seg, ww, v_seg in zip(gx, cand + (w,), v))
     pilots = [np.ones(yy.shape[-1], dtype=complex) for yy in y]
     h = [estimation._channel_estimate(*yp) for yp in zip(y, pilots)]
@@ -635,7 +639,7 @@ def _tracking_block(cfg, start, count):
     The fading phases, noise and bits of each realization are drawn once.
     Each Doppler value gets one `JakesBank`, shared by every scheme and
     beta; per scheme, all (beta, Doppler) points advance together on
-    leading axes.  Returns the block's bits per point and errors shaped
+    link axes.  Returns the block's bits per point and errors shaped
     (schemes, betas, dopplers).
     """
     r = cfg.num_relays
@@ -655,11 +659,12 @@ def _tracking_block(cfg, start, count):
     banks = [JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
              for doppler in cfg.normalized_doppler_grid]
     grid = (len(cfg.betas), len(banks), count)
-    betas = np.array([float(b) for b in cfg.betas])[:, None, None, None]
+    betas = np.array([float(b) for b in cfg.betas])[:, None, None]
 
     pset = build_perturbation_set(r, Scheme.PM)
     schemes = [SCHEMES[token] for token in cfg.schemes]
-    weights = [np.tile(init_weights(r, ck).w, grid + (1,)) for _, ck in schemes]
+    weights = [np.tile(init_weights(r, ck).w[:, None, None, None], (1,) + grid)
+               for _, ck in schemes]
     carry = [None] * len(schemes)
     whole = cfg.pm_estimation_mode == "whole"
     errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import BeamVector
+from .adaptation import BeamVector, relay_sum
 from .channel import complex_normal
 
 
@@ -55,9 +55,13 @@ class CompoundParams:
         return int(self.hbar.size)
 
 
-# The chain, batched: leading axes index links, the last axis relays.  The
-# experiments run it at source power 1; the `NetworkParams` functions below
-# are a batch of one with sqrt(Ps) folded into h.
+# The chain, batched over links.  Channels, gains and weights put the relay
+# axis first, (R, *links), as in `adaptation`; the gain rule and the fold are
+# elementwise.  Tracking's per-symbol receptions keep relays last,
+# (..., L, R): `relay_receive` averages over L and `combine` takes its
+# weights relay-last.  The experiments run the chain at source power 1; the
+# `NetworkParams` functions below are a batch of one with sqrt(Ps) folded
+# into h.
 
 def relay_gains(relay_power, received_power):
     """The AF gain rule alpha = sqrt(P / received power); the power is
@@ -117,31 +121,28 @@ def simulate_symbols(params, chan, alphas, w: BeamVector, symbols, rng) -> np.nd
 
 
 def _signal_power(w, hbar):
-    """|w^H hbar|^2 over the last axis; broadcasts over leading axes."""
-    inner = np.sum(np.conj(w) * hbar, axis=-1)
-    return np.abs(inner) ** 2
+    """|w^H hbar|^2 over the leading (relay) axis; broadcasts over links."""
+    # np.square, as `**` on arrays: for a single vector the sum is a numpy
+    # scalar, whose `** 2` calls pow and may differ in the last place
+    return np.square(np.abs(relay_sum(np.conj(w) * hbar)))
 
 
 def _noise_gain(w, gbar):
     """w^H Gbar Gbar^H w = sum_i |w_i|^2 |gbar_i|^2."""
-    return np.sum(np.abs(w) ** 2 * np.abs(gbar) ** 2, axis=-1)
+    return relay_sum(np.abs(w) ** 2 * np.abs(gbar) ** 2)
 
 
 def _snr(w, hbar, gbar, noise_power):
     return _signal_power(w, hbar) / (noise_power * (1.0 + _noise_gain(w, gbar)))
 
 
-# The scalar objectives are the batched ones on a batch of one: a 1-D
-# reduction may sum in another order and differ in the last place.
-
 def objective_power(w: BeamVector, cp: CompoundParams) -> float:
     """Coherent receive-signal power |w^H hbar|^2."""
-    return float(_signal_power(w.w[None, :], cp.hbar[None, :])[0])
+    return float(_signal_power(w.w, cp.hbar))
 
 
 def objective_snr(w: BeamVector, cp: CompoundParams, noise_power) -> float:
     """Destination SNR including the amplified relay noise."""
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
-    return float(_snr(w.w[None, :], cp.hbar[None, :], cp.gbar[None, :],
-                      noise_power)[0])
+    return float(_snr(w.w, cp.hbar, cp.gbar, noise_power))

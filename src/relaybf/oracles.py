@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptation import BeamVector, ConstraintKind, init_weights
+from .adaptation import BeamVector, ConstraintKind, init_weights, relay_sum
 from .network import CompoundParams, _signal_power, _snr
 
 
@@ -25,22 +25,21 @@ def _egc(hbar):
 
 
 def _psp(hbar):
-    norm = np.sqrt(np.sum(np.abs(hbar) ** 2, axis=-1, keepdims=True))
-    return hbar / norm
+    return hbar / np.sqrt(relay_sum(np.abs(hbar) ** 2))
 
 
 def _ssp(hbar, gbar):
     raw = hbar / (1.0 + np.abs(gbar) ** 2)
-    norm = np.sqrt(np.sum(np.abs(raw) ** 2, axis=-1, keepdims=True))
-    return raw / norm
+    return raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
 
 
 def closed_form(token, hbar, gbar):
-    """Batched closed-form weights of a scheme token; "no-bf" is the uniform
-    split that the adaptive sum-power schemes start from."""
+    """Batched closed-form weights (R, ...) of a scheme token; "no-bf" is
+    the uniform split that the adaptive sum-power schemes start from."""
     if token == "no-bf":
-        w = init_weights(hbar.shape[-1], ConstraintKind.SUM_POWER).w
-        return np.broadcast_to(w, hbar.shape)
+        w = init_weights(hbar.shape[0], ConstraintKind.SUM_POWER).w
+        return np.broadcast_to(w.reshape(w.shape + (1,) * (hbar.ndim - 1)),
+                               hbar.shape)
     if token == "egc":
         return _egc(hbar)
     if token == "p-sp":
@@ -101,14 +100,16 @@ def random_search_margins(cp: CompoundParams, noise_power, num_vectors, rng,
     s_best = float(_snr(w_snr, cp.hbar, cp.gbar, noise_power))
     p_margin = 0.0
     s_margin = 0.0
+    hbar, gbar = cp.hbar[:, None], cp.gbar[:, None]
     remaining = int(num_vectors)
     while remaining > 0:
         n = min(chunk, remaining)
         remaining -= n
-        raw = rng.standard_normal((n, cp.num_relays)) \
-            + 1j * rng.standard_normal((n, cp.num_relays))
-        w = raw / np.sqrt(np.sum(np.abs(raw) ** 2, axis=-1, keepdims=True))
-        p_margin = max(p_margin, float(np.max(_signal_power(w, cp.hbar))) / p_best)
+        # drawn vector by vector, then viewed relay-first
+        raw = (rng.standard_normal((n, cp.num_relays))
+               + 1j * rng.standard_normal((n, cp.num_relays))).T
+        w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
+        p_margin = max(p_margin, float(np.max(_signal_power(w, hbar))) / p_best)
         s_margin = max(s_margin,
-                       float(np.max(_snr(w, cp.hbar, cp.gbar, noise_power))) / s_best)
+                       float(np.max(_snr(w, hbar, gbar, noise_power))) / s_best)
     return p_margin, s_margin

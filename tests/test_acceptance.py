@@ -121,7 +121,7 @@ def test_criterion_02_tr_monotonicity():
     h, g = engine._draw_channels(cfg, 0, n)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
     pset = build_perturbation_set(3, Scheme.TR)
-    w = np.tile(init_weights(3, ConstraintKind.SUM_POWER).w, (n, 1))
+    w = np.tile(init_weights(3, ConstraintKind.SUM_POWER).w, (n, 1)).T
     best = np.zeros(n)
     prev = network._snr(w, hbar, gbar, noise)
     violations = 0

@@ -89,17 +89,18 @@ def test_pm_probes_are_tr_probes_at_plus_minus_beta():
     rng = np.random.default_rng(3)
     q = build_perturbation_set(3, Scheme.PM).column(2)
     for constraint in (SUM, PER):
-        w = project(complex_normal(rng, (5, 3)), constraint,
-                    init_weights(3, constraint).w)
+        # 5 links, stacked relay-first
+        w = project(complex_normal(rng, (5, 3)).T, constraint,
+                    init_weights(3, constraint).w[:, None])
         plus, minus = probes(Scheme.PM, w, q, 0.3, constraint)
         (tr_plus,) = probes(Scheme.TR, w, q, 0.3, constraint)
         (tr_minus,) = probes(Scheme.TR, w, q, -0.3, constraint)
         np.testing.assert_array_equal(plus, tr_plus)
         np.testing.assert_array_equal(minus, tr_minus)
         # a batch is its links one at a time
-        for row, p, m in zip(w, plus, minus):
+        for link, p, m in zip(w.T, plus.T, minus.T):
             np.testing.assert_array_equal(
-                np.stack(probes(Scheme.PM, row, q, 0.3, constraint)),
+                np.stack(probes(Scheme.PM, link, q, 0.3, constraint)),
                 np.stack([p, m]))
 
 
@@ -109,19 +110,20 @@ def test_project_rejects_unknown_constraint():
 
 
 def test_decide_and_select_on_a_batch():
-    plus, minus = np.array([[1.0, 0.0]] * 3), np.array([[0.0, 1.0]] * 3)
+    # 3 links of 2 relays, stacked relay-first
+    plus, minus = np.array([[1.0, 0.0]] * 3).T, np.array([[0.0, 1.0]] * 3).T
     bit, best = decide(Scheme.PM, (np.array([2.0, 2.0, 3.0]),
                                    np.array([3.0, 2.0, 2.0])))
     assert bit.tolist() == [True, False, False]  # the tie keeps plus
     assert best is None
-    np.testing.assert_array_equal(select(None, (plus, minus), bit),
+    np.testing.assert_array_equal(select(None, (plus, minus), bit).T,
                                   [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
     # TR: the stored best decays first, a tie with it rejects
     bit, best = decide(Scheme.TR, (np.array([0.95, 0.5, 0.45]),),
                        np.array([1.0, 1.0, 0.5]), 0.9)
     assert bit.tolist() == [True, False, False]
     np.testing.assert_array_equal(best, [0.95, 0.9, 0.45])
-    np.testing.assert_array_equal(select(minus, (plus,), bit),
+    np.testing.assert_array_equal(select(minus, (plus,), bit).T,
                                   [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
 
 

@@ -75,6 +75,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     {"snr_db_grid": [-1e6]},
     # every compound channel underflowed to 0: exit 0, meaningless counts
     {"distances": [1e100, 1e100, 1e100]},
+    # a TypeError message that did not name the key
+    {"distances": None},
 ])
 def test_invalid_numbers_exit_1_with_one_line(tmp_path, capsys, bad):
     cfg = _cfg_file(tmp_path, {**BER_CFG, **bad})

@@ -156,6 +156,7 @@ def test_config_round_trip_and_unknown_keys(valid, anything):
     # d**-4 under- or overflows: every compound channel is 0 or inf
     {"distances": [1e100, 1e100, 1e100]},
     {"distances": [1.0, 3.0, 1e-100]},
+    {"distances": None},  # only lists with a derived default take null
     {"snr_db_grid": [float("inf")]},
     {"snr_db_grid": [-1e6]},  # noise power overflows
     {"snr_db_grid": [1e6]},   # noise power underflows to zero
@@ -242,20 +243,20 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-snr_db / 10.0)
     hbar, gbar = network.ideal_compound(
-        complex_normal(rng, (1, r)), complex_normal(rng, (1, r)),
+        complex_normal(rng, (1, r)).T, complex_normal(rng, (1, r)).T,
         engine._relay_power(constraint, r), noise)
-    cp = CompoundParams(hbar[0], gbar[0])
+    cp = CompoundParams(hbar[:, 0], gbar[:, 0])
 
     def measure(v):
         # the public objectives are the kernel's on a batch of one
         j = objective_power(v, cp) if objective is Objective.POWER \
             else objective_snr(v, cp, noise)
-        assert j == engine._objective_batch(objective, v.w[None, :], hbar,
+        assert j == engine._objective_batch(objective, v.w[:, None], hbar,
                                             gbar, noise)[0]
         return j
 
     pset = build_perturbation_set(r, scheme)
-    w = init_weights(r, constraint).w[None, :].copy()
+    w = init_weights(r, constraint).w[:, None].copy()
     best = np.zeros(1)
     agent = RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
     if scheme is Scheme.TR:
@@ -286,9 +287,9 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                 if np.array_equal(plus.w, minus.w):
                     assert bit == 0
         assert int(take[0]) == bit
-        assert np.array_equal(w[0], state.w_data.w)
+        assert np.array_equal(w[:, 0], state.w_data.w)
         agent.advance(int(take[0]))
-        assert np.array_equal(agent.weight_vector, w[0])
+        assert np.array_equal(agent.weight_vector, w[:, 0])
 
 
 CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
@@ -569,7 +570,7 @@ def test_realistic_pm_detection_uses_previous_winner():
     bank = JakesBank.draw(rng, (1, 4), 0.01, 1.0)
     pset = build_perturbation_set(2, Scheme.PM)
     w = init_weights(2, SUM)
-    ws, carry = w.w[None, :], None
+    ws, carry = w.w[:, None], None
     for f in range(6):
         gx, v, measured = _frame_inputs(bank, f, rng, 1e-3)
         ws, winner, h_data, _ = engine._pm_track_frame(
@@ -585,7 +586,7 @@ def test_realistic_pm_detection_uses_previous_winner():
         won = int(estimate_snr(halves[1], blocks[1])
                   > estimate_snr(halves[0], blocks[0]))
         w = probes[won]
-        np.testing.assert_array_equal(ws[0], w.w)
+        np.testing.assert_array_equal(ws[:, 0], w.w)
         assert winner[0] == pytest.approx(halves[won], rel=1e-12)
         assert h_data[0] == (winner[0] if carry is None else carry[0])
         carry = winner
@@ -603,7 +604,7 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     w0 = init_weights(2, SUM)
     # column 1 is not aligned with w0, so the two halves differ
     _, winner, h_data, _ = engine._pm_track_frame(
-        w0.w[None, :], np.array([7.0 + 0j]), 0.1, pset.column(1),
+        w0.w[:, None], np.array([7.0 + 0j]), 0.1, pset.column(1),
         Objective.POWER, SUM, gx, v, measured, True)
     plus, minus = pm_perturb(PmState(w0, 1), 0.1, pset)
     a = lambda c: np.sum(np.conj(c.w) * g * h / np.abs(h))

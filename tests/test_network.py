@@ -155,16 +155,18 @@ def test_objective_snr_requires_positive_noise():
 
 
 def test_batched_kernels_match_scalar_objectives():
+    # the scalar objectives are the batched ones on a single vector, so they
+    # agree bit for bit; 50 links of 4 relays, stacked relay-first
     rng = np.random.default_rng(3)
     hbar = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     gbar = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     w = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
+    hbar, gbar, w = hbar.T, gbar.T, w.T
     batch_p = network._signal_power(w, hbar)
     batch_s = network._snr(w, hbar, gbar, 0.3)
     for i in range(50):
-        cp = CompoundParams(hbar[i], gbar[i])
-        bv = _sum_vec(w[i])
-        assert batch_p[i] == pytest.approx(objective_power(bv, cp), rel=1e-12)
-        assert batch_s[i] == pytest.approx(objective_snr(bv, cp, 0.3),
-                                           rel=1e-12)
+        cp = CompoundParams(hbar[:, i], gbar[:, i])
+        bv = _sum_vec(w[:, i])
+        assert batch_p[i] == objective_power(bv, cp)
+        assert batch_s[i] == objective_snr(bv, cp, 0.3)

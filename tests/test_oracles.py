@@ -78,17 +78,18 @@ def test_nobf_uniform():
 
 def test_closed_form_matches_the_per_channel_designs():
     # the BER kernel's token lookup, on a stack of channels, equals the
-    # per-channel designs bit for bit; no-bf is the sum-power start vector
+    # per-channel designs bit for bit; no-bf is the sum-power start vector.
+    # The 5 channels are stacked relay-first.
     cps = [_random_compound(seed)[0] for seed in range(5)]
-    hbar = np.stack([cp.hbar for cp in cps])
-    gbar = np.stack([cp.gbar for cp in cps])
+    hbar = np.stack([cp.hbar for cp in cps], axis=-1)
+    gbar = np.stack([cp.gbar for cp in cps], axis=-1)
     designs = {"no-bf": lambda cp: nobf_weights(3), "egc": egc_weights,
                "p-sp": psp_weights, "s-sp": lambda cp: ssp_weights(cp, 0.1)}
     for token, design in designs.items():
         w = closed_form(token, hbar, gbar)
         assert w.shape == hbar.shape
-        for cp, row in zip(cps, w):
-            np.testing.assert_array_equal(row, design(cp).w)
+        for cp, link in zip(cps, w.T):
+            np.testing.assert_array_equal(link, design(cp).w)
     np.testing.assert_array_equal(nobf_weights(3).w,
                                   init_weights(3, ConstraintKind.SUM_POWER).w)
     with pytest.raises(ValueError):
