@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, PmState,
-                         Scheme, TrState, build_perturbation_set, dft_matrix,
-                         init_pm_state, init_tr_state, init_weights, normalize,
-                         pm_perturb, pm_step, tr_perturb, tr_step)
+from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, Scheme,
+                         build_perturbation_set, dft_matrix, init_weights,
+                         normalize)
 from .channel import (ChannelRealization, JakesBank, PathLoss, complex_normal,
                       sample_static_rayleigh)
 from .engine import (BerResult, BerRow, ConfigError, ConvergenceResult,
@@ -18,9 +17,7 @@ from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          RelayAgent, RelayRegistry, apply_birth, apply_death,
                          decode_message, encode_message, exclude_coordinate,
                          index_bits, insert_coordinate)
-from .network import (CompoundParams, NetworkParams, compound_params,
-                      ideal_relay_gains, objective_power, objective_snr,
-                      simulate_symbols)
+from .network import CompoundParams, objective_power, objective_snr
 from .oracles import (DegenerateChannelError, egc_weights, nobf_weights,
                       psp_weights, random_search_margins, ssp_weights)
 

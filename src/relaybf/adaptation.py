@@ -141,7 +141,6 @@ class PerturbationSet:
     """Deterministic perturbation directions, indexed cyclically by frame."""
 
     columns: np.ndarray  # (R, N)
-    scheme_tag: Scheme
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=complex)
@@ -171,25 +170,7 @@ def build_perturbation_set(num_relays, scheme: Scheme) -> PerturbationSet:
         cols = np.hstack([q, 1j * q, -q, -1j * q])
     else:
         raise ValueError("unknown scheme")
-    return PerturbationSet(cols, scheme)
-
-
-@dataclass
-class TrState:
-    """Take/Reject state: working vector, stored best objective, frame count."""
-
-    w_data: BeamVector
-    best_objective: float = 0.0
-    frame_index: int = 0
-    forgetting_factor: float = 1.0
-
-
-@dataclass
-class PmState:
-    """Plus/Minus state: working vector and frame count."""
-
-    w_data: BeamVector
-    frame_index: int = 0
+    return PerturbationSet(cols)
 
 
 def init_weights(num_relays, constraint) -> BeamVector:
@@ -198,14 +179,6 @@ def init_weights(num_relays, constraint) -> BeamVector:
     if constraint is ConstraintKind.SUM_POWER:
         return BeamVector(ones / np.sqrt(num_relays), constraint)
     return BeamVector(ones, constraint)
-
-
-def init_tr_state(num_relays, constraint, forgetting_factor=1.0) -> TrState:
-    return TrState(init_weights(num_relays, constraint), 0.0, 0, forgetting_factor)
-
-
-def init_pm_state(num_relays, constraint) -> PmState:
-    return PmState(init_weights(num_relays, constraint), 0)
 
 
 def probes(scheme, w, q, beta, constraint):
@@ -240,44 +213,3 @@ def select(w, probes, bit):
     before it (TR: `w`, PM: the plus probe)."""
     keep, take = ((w,) + tuple(probes))[-2:]
     return np.where(bit, take, keep)
-
-
-def _perturb(scheme, w: BeamVector, frame_index, beta, pset):
-    if pset.scheme_tag is not scheme:
-        raise ValueError("perturbation set was built for a different scheme")
-    return tuple(BeamVector(p, w.constraint) for p in probes(
-        scheme, w.w, pset.column(frame_index), beta, w.constraint))
-
-
-def tr_perturb(state: TrState, beta, pset) -> BeamVector:
-    """Training candidate for the current TR frame."""
-    return _perturb(Scheme.TR, state.w_data, state.frame_index, beta, pset)[0]
-
-
-def tr_step(state: TrState, w_tilde: BeamVector, j_training) -> tuple[TrState, int]:
-    """One TR transition from the measured training objective (the rule of
-    `decide`).  Returns the successor state and the broadcast bit."""
-    if j_training < 0:
-        raise ValueError("objectives are nonnegative by construction")
-    bit, best = decide(Scheme.TR, (j_training,), state.best_objective,
-                       state.forgetting_factor)
-    w = select(state.w_data.w, (w_tilde.w,), bit)
-    return TrState(BeamVector(w, state.w_data.constraint), float(best),
-                   state.frame_index + 1, state.forgetting_factor), int(bit)
-
-
-def pm_perturb(state: PmState, beta, pset):
-    """(plus, minus) training candidates for the current PM frame."""
-    return _perturb(Scheme.PM, state.w_data, state.frame_index, beta, pset)
-
-
-def pm_step(state: PmState, w_plus: BeamVector, w_minus: BeamVector,
-            j_plus, j_minus) -> tuple[PmState, int]:
-    """One PM transition (the rule of `decide`); the pre-step vector is
-    always discarded.  Returns the successor state and the broadcast bit."""
-    if j_plus < 0 or j_minus < 0:
-        raise ValueError("objectives are nonnegative by construction")
-    bit, _ = decide(Scheme.PM, (j_plus, j_minus))
-    w = select(state.w_data.w, (w_plus.w, w_minus.w), bit)
-    return PmState(BeamVector(w, w_plus.constraint),
-                   state.frame_index + 1), int(bit)

@@ -191,11 +191,12 @@ class ExperimentConfig:
         if self.scheme is Scheme.PM and (self.num_pilots < 2 or self.num_pilots % 2):
             raise ConfigError("PM needs an even pilot count >= 2")
         if self.schemes is not None:
-            if not isinstance(self.schemes, (list, tuple)):
-                raise ConfigError("schemes must be a list of scheme tokens")
+            if not isinstance(self.schemes, (list, tuple)) or not self.schemes:
+                raise ConfigError("schemes must be a non-empty list of scheme "
+                                  "tokens")
             unknown = [t for t in self.schemes
                        if not isinstance(t, str) or t not in SCHEMES]
-            if unknown or not self.schemes:
+            if unknown:
                 raise ConfigError("unknown scheme tokens: %r" % (unknown,))
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat a token")
@@ -357,7 +358,6 @@ class ConvergenceResult:
 
     config: ExperimentConfig
     snr_normalized: np.ndarray   # (num_trajectories, num_frames)
-    gaps: np.ndarray
     feedback_bits: np.ndarray
     gaps_at_frames: dict         # frame -> (num_realizations,) gap array
 
@@ -368,14 +368,14 @@ class ConvergenceResult:
         n, f = self.snr_normalized.shape
         for r in range(n):
             for k in range(f):
-                yield (r, k, self.snr_normalized[r, k], self.gaps[r, k],
+                yield (r, k, self.snr_normalized[r, k],
+                       1.0 - self.snr_normalized[r, k],
                        int(self.feedback_bits[r, k]))
 
     def cdf_rows(self):
         for frame in self.config.cdf_frames:
-            gaps = self.gaps_at_frames[frame]
             for thr in self.config.gap_thresholds:
-                yield (frame, thr, float(np.mean(gaps < thr)))
+                yield (frame, thr, self.fraction_below(frame, thr))
 
 
 def _convergence_block(cfg, start, count):
@@ -396,7 +396,6 @@ def _convergence_block(cfg, start, count):
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
-    gap_traj = np.empty((n_traj, cfg.num_frames))
     bit_traj = np.empty((n_traj, cfg.num_frames), dtype=np.int8)
     wanted = set(cfg.cdf_frames)
     gaps_at = {}
@@ -408,12 +407,11 @@ def _convergence_block(cfg, start, count):
             break
         if n_traj:
             snr_traj[:, k] = ratio[:n_traj]
-            gap_traj[:, k] = 1.0 - ratio[:n_traj]
         w, best, bit = _adapt(cfg, pset, k, w, best, objective, constraint,
                               hbar, gbar, noise_power)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
-    return start, snr_traj, gap_traj, bit_traj, gaps_at
+    return start, snr_traj, bit_traj, gaps_at
 
 
 def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceResult:
@@ -424,14 +422,14 @@ def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceR
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
     parts = []
     payloads = ((cfg, start, count) for start, count in _block_ranges(cfg, n))
-    for start, snr_t, gap_t, bit_t, gdict in _iter_block_results(
+    for start, snr_t, bit_t, gdict in _iter_block_results(
             _convergence_block, payloads, workers):
         for f, arr in gdict.items():
             gaps_at[f][start:start + arr.size] = arr
-        parts.append((snr_t, gap_t, bit_t))
+        parts.append((snr_t, bit_t))
     # blocks past num_trajectories contribute (0, num_frames) arrays
-    snr, gap, bits = (np.vstack(p) for p in zip(*parts))
-    return ConvergenceResult(cfg, snr, gap, bits, gaps_at)
+    snr, bits = (np.vstack(p) for p in zip(*parts))
+    return ConvergenceResult(cfg, snr, bits, gaps_at)
 
 
 # ---------------------------------------------------------------------------

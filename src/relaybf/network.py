@@ -15,26 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import BeamVector, relay_sum
-from .channel import complex_normal
-
-
-@dataclass
-class NetworkParams:
-    """Static scenario powers; `relay_power` is the P of the relay gain rule."""
-
-    num_relays: int
-    source_power: float
-    relay_power: float
-    noise_power: float
-
-    def __post_init__(self):
-        if self.num_relays < 1:
-            raise ValueError("num_relays must be >= 1")
-        if self.source_power <= 0 or self.relay_power <= 0:
-            raise ValueError("source_power and relay_power must be > 0")
-        # noise_power 0 is permitted for noiseless diagnostics
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
 
 
 @dataclass
@@ -59,9 +39,9 @@ class CompoundParams:
 # axis first, (R, *links), as in `adaptation`; the gain rule and the fold are
 # elementwise.  Tracking's per-symbol receptions keep relays last,
 # (..., L, R): `relay_receive` averages over L and `combine` takes its
-# weights relay-last.  The experiments run the chain at source power 1; the
-# `NetworkParams` functions below are a batch of one with sqrt(Ps) folded
-# into h.
+# weights relay-last.  The chain runs at source power 1; a source power Ps
+# is folded into h as sqrt(Ps)*h.  A single link is the batch with no link
+# axes.
 
 def relay_gains(relay_power, received_power):
     """The AF gain rule alpha = sqrt(P / received power); the power is
@@ -91,33 +71,6 @@ def combine(gx, w, alphas, v):
     """Destination samples sum_i (g_i*x_i)*(conj(w_i)*alpha_i) + v of
     forwarded receptions gx = g*x (..., L, R) and noise v (..., L)."""
     return np.sum(gx * (np.conj(w) * alphas)[..., None, :], axis=-1) + v
-
-
-def ideal_relay_gains(params, chan) -> np.ndarray:
-    """Vector of ideal relay gains for a whole realization."""
-    power = params.source_power * np.abs(chan.h) ** 2 + params.noise_power
-    if np.any(power <= 0):
-        raise ValueError("relay receive power is zero; gain undefined")
-    return relay_gains(params.relay_power, power)
-
-
-def compound_params(params, chan, alphas) -> CompoundParams:
-    """Fold channels and relay gains into the compound receive model."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != chan.h.shape:
-        raise ValueError("alphas length must match the number of relays")
-    return CompoundParams(*compound(np.sqrt(params.source_power) * chan.h,
-                                    chan.g, alphas))
-
-
-def simulate_symbols(params, chan, alphas, w: BeamVector, symbols, rng) -> np.ndarray:
-    """Relay-chain simulation of a symbol block; the relay noise of the
-    whole block is drawn before the destination noise."""
-    symbols = np.asarray(symbols)
-    n = complex_normal(rng, (symbols.size, chan.num_relays), params.noise_power)
-    v = complex_normal(rng, symbols.size, params.noise_power)
-    x, _ = relay_receive(np.sqrt(params.source_power) * chan.h, symbols, n)
-    return combine(chan.g * x, w.w, np.asarray(alphas), v)
 
 
 def _signal_power(w, hbar):

@@ -14,17 +14,15 @@ from scipy.special import j0
 
 from relaybf import engine, estimation, network, oracles
 from relaybf.adaptation import (
+    BeamVector,
     ConstraintKind,
     Scheme,
     build_perturbation_set,
-    init_pm_state,
-    init_tr_state,
+    decide,
     init_weights,
     normalize,
-    pm_perturb,
-    pm_step,
-    tr_perturb,
-    tr_step,
+    probes,
+    select,
 )
 from relaybf.channel import (
     JakesBank,
@@ -53,7 +51,7 @@ from relaybf.membership import (
     exclude_coordinate,
     insert_coordinate,
 )
-from relaybf.network import CompoundParams, NetworkParams, objective_snr
+from relaybf.network import CompoundParams
 
 SEED = 20
 SNR_DB = 18.0
@@ -142,14 +140,13 @@ def test_criterion_02_tr_monotonicity():
 
 def test_criterion_03_oracles_beat_random_search():
     noise = 10.0 ** (-SNR_DB / 10.0)
-    params = NetworkParams(3, 1.0, 1.0, noise)
     pl = PathLoss(DISTANCES)
     worst_power = worst_snr = worst_psp_dev = 0.0
     for i in range(1000):
         chan = sample_static_rayleigh(
             engine._stream(SEED, i, engine._STREAM_CHANNEL), pl)
-        alphas = network.ideal_relay_gains(params, chan)
-        cp = network.compound_params(params, chan, alphas)
+        cp = CompoundParams(*network.ideal_compound(chan.h, chan.g, 1.0,
+                                                    noise))
         achieved = network.objective_power(oracles.psp_weights(cp), cp)
         closed = float(np.sum(np.abs(cp.hbar) ** 2))
         worst_psp_dev = max(worst_psp_dev,
@@ -206,10 +203,9 @@ def test_criterion_06_high_snr_ordering(ber_result):
 def test_criterion_07_estimator_variance():
     rng = np.random.default_rng(SEED)
     noise = 10.0 ** (-SNR_DB / 10.0)
-    params = NetworkParams(3, 1.0, 1.0, noise)
     chan = sample_static_rayleigh(rng, PathLoss(DISTANCES))
-    alphas = network.ideal_relay_gains(params, chan)
-    cp = network.compound_params(params, chan, alphas)
+    alphas = network.relay_gains(1.0, np.abs(chan.h) ** 2 + noise)
+    cp = CompoundParams(*network.compound(chan.h, chan.g, alphas))
     w = normalize(complex_normal(rng, 3), ConstraintKind.SUM_POWER,
                   init_weights(3, ConstraintKind.SUM_POWER))
     a = complex(np.vdot(w.w, cp.hbar))
@@ -217,7 +213,7 @@ def test_criterion_07_estimator_variance():
     pilots = np.ones(lp, dtype=complex)
     n = complex_normal(rng, (trials, lp, 3), noise)
     v = complex_normal(rng, (trials, lp), noise)
-    x = np.sqrt(params.source_power) * chan.h * pilots[None, :, None] + n
+    x = chan.h * pilots[None, :, None] + n
     y = np.sum(chan.g * np.conj(w.w) * alphas * x, axis=2) + v
     h_hat = estimation._channel_estimate(y, pilots)
     var = float(np.mean(np.abs(h_hat - a) ** 2))
@@ -271,22 +267,20 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
     rmax = 4
     rng = np.random.default_rng(SEED)
     noise = 10.0 ** (-SNR_DB / 10.0)
-    params = NetworkParams(rmax, 1.0, 1.0, noise)
     chan = sample_static_rayleigh(rng, PathLoss([1.0, 2.0, 3.0, 4.0]))
-    alphas = network.ideal_relay_gains(params, chan)
-    cp_full = network.compound_params(params, chan, alphas)
+    hbar_full, gbar_full = network.ideal_compound(chan.h, chan.g, 1.0, noise)
 
     registry = RelayRegistry.full(rmax)
     agents = [RelayAgent(i, registry, scheme, constraint, 0.1)
               for i in range(rmax)]
     reg = registry.copy()
-    state = (init_tr_state(rmax, constraint) if scheme is Scheme.TR
-             else init_pm_state(rmax, constraint))
+    # the destination: working vector, TR's stored best, frame clock
+    w, best, frame = init_weights(rmax, constraint).w, 0.0, 0
     pset = build_perturbation_set(rmax, scheme)
 
-    def active_cp():
+    def snr(v):
         idx = reg.active_indices()
-        return CompoundParams(cp_full.hbar[idx], cp_full.gbar[idx])
+        return network._snr(v, hbar_full[idx], gbar_full[idx], noise)
 
     checks = 0
     for k in range(frames):
@@ -294,40 +288,27 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
             if k == death_at:
                 pos = reg.position_of(1)
                 reg, msg = apply_death(reg, 1)
-                bv = exclude_coordinate(state.w_data, pos)
-                if scheme is Scheme.TR:
-                    state = type(state)(bv, objective_snr(bv, active_cp(),
-                                                          noise),
-                                        state.frame_index,
-                                        state.forgetting_factor)
-                else:
-                    state = type(state)(bv, state.frame_index)
+                w = exclude_coordinate(BeamVector(w, constraint), pos).w
+                best = snr(w)  # TR restarts its benchmark; PM has none
             else:
                 reg, msg = apply_birth(reg, 1)
                 if constraint is ConstraintKind.SUM_POWER:
-                    state = (init_tr_state(reg.num_active, constraint)
-                             if scheme is Scheme.TR
-                             else init_pm_state(reg.num_active, constraint))
+                    w = init_weights(reg.num_active, constraint).w
+                    best, frame = 0.0, 0
                 else:
                     pos = reg.position_of(1)
-                    bv = insert_coordinate(state.w_data, pos)
-                    state = type(state)(bv, state.frame_index)
+                    w = insert_coordinate(BeamVector(w, constraint), pos).w
             pset = build_perturbation_set(reg.num_active, scheme)
             wire = encode_message(msg, rmax)
             for agent in agents:
                 agent.apply_message(decode_message(wire, rmax))
-        cp = active_cp()
-        if scheme is Scheme.TR:
-            cand = tr_perturb(state, 0.1, pset)
-            state, bit = tr_step(state, cand, objective_snr(cand, cp, noise))
-        else:
-            plus, minus = pm_perturb(state, 0.1, pset)
-            state, bit = pm_step(state, plus, minus,
-                                 objective_snr(plus, cp, noise),
-                                 objective_snr(minus, cp, noise))
+        cand = probes(scheme, w, pset.column(frame), 0.1, constraint)
+        bit, best = decide(scheme, [snr(c) for c in cand], best)
+        w = select(w, cand, bit)
+        frame += 1
         for agent in agents:
             agent.advance(bit)
-            if not np.array_equal(agent.weight_vector, state.w_data.w):
+            if not np.array_equal(agent.weight_vector, w):
                 return checks, False
             checks += 1
     return checks, True

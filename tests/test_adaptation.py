@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from relaybf.adaptation import (CONSTRAINT_TOL, BeamVector, ConstraintKind,
                                 Scheme, build_perturbation_set, decide,
-                                dft_matrix, init_pm_state, init_tr_state,
-                                init_weights, normalize, pm_perturb, pm_step,
-                                probes, project, select, tr_perturb, tr_step)
+                                dft_matrix, init_weights, normalize, probes,
+                                project, select)
 from relaybf.channel import PathLoss, complex_normal, sample_static_rayleigh
-from relaybf.network import (NetworkParams, compound_params,
-                             ideal_relay_gains, objective_snr)
+from relaybf.network import CompoundParams, _snr, ideal_compound, objective_snr
 
 SUM = ConstraintKind.SUM_POWER
 PER = ConstraintKind.PER_RELAY
@@ -125,6 +123,11 @@ def test_decide_and_select_on_a_batch():
     np.testing.assert_array_equal(best, [0.95, 0.9, 0.45])
     np.testing.assert_array_equal(select(minus, (plus,), bit).T,
                                   [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    # TR without forgetting: an exact tie rejects, anything above takes
+    bit, best = decide(Scheme.TR, (np.array([1.0, 1.0 + 1e-9]),),
+                       np.array([1.0, 1.0]))
+    assert bit.tolist() == [False, True]
+    np.testing.assert_array_equal(best, [1.0, 1.0 + 1e-9])
 
 
 def test_perturbed_vectors_stay_feasible():
@@ -139,57 +142,13 @@ def test_perturbed_vectors_stay_feasible():
                 w = cands[-1]
 
 
-def test_scheme_tag_mismatch_rejected():
-    tr_state = init_tr_state(3, SUM)
-    pm_state = init_pm_state(3, SUM)
-    pm_set = build_perturbation_set(3, Scheme.PM)
-    tr_set = build_perturbation_set(3, Scheme.TR)
-    with pytest.raises(ValueError):
-        tr_perturb(tr_state, 0.1, pm_set)
-    with pytest.raises(ValueError):
-        pm_perturb(pm_state, 0.1, tr_set)
-
-
-def test_tr_step_take_reject_and_tie():
-    state = init_tr_state(2, SUM)
-    state.best_objective = 1.0
-    cand = BeamVector(np.array([1.0, 0.0]), SUM)
-    new, bit = tr_step(state, cand, 1.0)  # exact tie rejects
-    assert bit == 0
-    np.testing.assert_array_equal(new.w_data.w, state.w_data.w)
-    assert new.best_objective == 1.0
-    assert new.frame_index == 1
-    new, bit = tr_step(state, cand, 1.0 + 1e-9)
-    assert bit == 1
-    np.testing.assert_array_equal(new.w_data.w, cand.w)
-    assert new.best_objective == pytest.approx(1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        tr_step(state, cand, -0.5)
-
-
 def test_tr_forgetting_factor_decays_the_benchmark():
-    state = init_tr_state(2, SUM, forgetting_factor=0.9)
-    state.best_objective = 1.0
-    cand = BeamVector(np.array([1.0, 0.0]), SUM)
-    new, bit = tr_step(state, cand, 0.95)  # 0.95 > 0.9 * 1.0
-    assert bit == 1
-    assert new.best_objective == pytest.approx(0.95)
-    new2, bit2 = tr_step(new, cand, 0.5)  # 0.5 < 0.9 * 0.95
-    assert bit2 == 0
-    assert new2.best_objective == pytest.approx(0.855)
-
-
-def test_pm_step_selection_and_tie():
-    state = init_pm_state(2, SUM)
-    plus = BeamVector(np.array([1.0, 0.0]), SUM)
-    minus = BeamVector(np.array([0.0, 1.0]), SUM)
-    new, bit = pm_step(state, plus, minus, 2.0, 3.0)
-    assert bit == 1
-    np.testing.assert_array_equal(new.w_data.w, minus.w)
-    new, bit = pm_step(state, plus, minus, 2.0, 2.0)  # ties keep plus
-    assert bit == 0
-    np.testing.assert_array_equal(new.w_data.w, plus.w)
-    assert new.frame_index == 1
+    bit, best = decide(Scheme.TR, (0.95,), 1.0, 0.9)  # 0.95 > 0.9 * 1.0
+    assert bit
+    assert best == pytest.approx(0.95)
+    bit, best = decide(Scheme.TR, (0.5,), best, 0.9)  # 0.5 < 0.9 * 0.95
+    assert not bit
+    assert best == pytest.approx(0.855)
 
 
 def test_first_frame_probes_the_starting_direction():
@@ -199,64 +158,55 @@ def test_first_frame_probes_the_starting_direction():
     # in the last place), so frame 0 may emit either bit, and the kept
     # vector matches the start to rounding.
     beta = 0.1
-    tr_state = init_tr_state(3, SUM)
+    w = init_weights(3, SUM).w
     tr_set = build_perturbation_set(3, Scheme.TR)
-    cand = tr_perturb(tr_state, beta, tr_set)
-    np.testing.assert_allclose(cand.w, tr_state.w_data.w, atol=1e-14)
-    new, bit = tr_step(tr_state, cand, 0.42)
-    assert bit == 1
+    (cand,) = probes(Scheme.TR, w, tr_set.column(0), beta, SUM)
+    np.testing.assert_allclose(cand, w, atol=1e-14)
+    bit, _ = decide(Scheme.TR, (0.42,), 0.0)
+    assert bit
 
-    pm_state = init_pm_state(3, SUM)
     pm_set = build_perturbation_set(3, Scheme.PM)
-    plus, minus = pm_perturb(pm_state, beta, pm_set)
-    np.testing.assert_allclose(plus.w, pm_state.w_data.w, atol=1e-14)
-    np.testing.assert_allclose(minus.w, pm_state.w_data.w, atol=1e-14)
+    plus, minus = probes(Scheme.PM, w, pm_set.column(0), beta, SUM)
+    np.testing.assert_allclose(plus, w, atol=1e-14)
+    np.testing.assert_allclose(minus, w, atol=1e-14)
 
 
-def _idealized_objective(w, cp, noise_power):
-    return objective_snr(w, cp, noise_power)
+def _compound(rng, noise_power):
+    chan = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
+    return ideal_compound(chan.h, chan.g, 1.0, noise_power)
 
 
 def test_tr_trajectory_is_monotone_with_unit_forgetting():
-    params = NetworkParams(3, 1.0, 1.0, 10.0 ** -1.8)
+    noise = 10.0 ** -1.8
     pset = build_perturbation_set(3, Scheme.TR)
-    pl = PathLoss([1.0, 3.0, 5.0])
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        chan = sample_static_rayleigh(rng, pl)
-        alphas = ideal_relay_gains(params, chan)
-        cp = compound_params(params, chan, alphas)
-        state = init_tr_state(3, SUM)
-        prev = _idealized_objective(state.w_data, cp, params.noise_power)
-        for _ in range(120):
-            cand = tr_perturb(state, 0.1, pset)
-            state, _ = tr_step(
-                state, cand, _idealized_objective(cand, cp, params.noise_power))
-            cur = _idealized_objective(state.w_data, cp, params.noise_power)
+        hbar, gbar = _compound(np.random.default_rng(seed), noise)
+        w, best = init_weights(3, SUM).w, 0.0
+        prev = _snr(w, hbar, gbar, noise)
+        for k in range(120):
+            cand = probes(Scheme.TR, w, pset.column(k), 0.1, SUM)
+            bit, best = decide(Scheme.TR, (_snr(cand[0], hbar, gbar, noise),),
+                               best)
+            w = select(w, cand, bit)
+            cur = _snr(w, hbar, gbar, noise)
             assert cur >= prev
             prev = cur
 
 
 def test_pm_converges_toward_oracle():
     from relaybf.oracles import ssp_weights
-    params = NetworkParams(3, 1.0, 1.0, 10.0 ** -1.8)
+    noise = 10.0 ** -1.8
     pset = build_perturbation_set(3, Scheme.PM)
-    pl = PathLoss([1.0, 3.0, 5.0])
     gaps = []
     for seed in range(30):
-        rng = np.random.default_rng(100 + seed)
-        chan = sample_static_rayleigh(rng, pl)
-        alphas = ideal_relay_gains(params, chan)
-        cp = compound_params(params, chan, alphas)
-        opt = objective_snr(ssp_weights(cp, params.noise_power), cp,
-                            params.noise_power)
-        state = init_pm_state(3, SUM)
-        for _ in range(60):
-            plus, minus = pm_perturb(state, 0.1, pset)
-            state, _ = pm_step(
-                state, plus, minus,
-                _idealized_objective(plus, cp, params.noise_power),
-                _idealized_objective(minus, cp, params.noise_power))
-        gaps.append(1.0 - _idealized_objective(state.w_data, cp,
-                                               params.noise_power) / opt)
+        hbar, gbar = _compound(np.random.default_rng(100 + seed), noise)
+        cp = CompoundParams(hbar, gbar)
+        opt = objective_snr(ssp_weights(cp, noise), cp, noise)
+        w = init_weights(3, SUM).w
+        for k in range(60):
+            cand = probes(Scheme.PM, w, pset.column(k), 0.1, SUM)
+            bit, _ = decide(Scheme.PM,
+                            [_snr(c, hbar, gbar, noise) for c in cand])
+            w = select(w, cand, bit)
+        gaps.append(1.0 - _snr(w, hbar, gbar, noise) / opt)
     assert np.median(gaps) < 0.05

@@ -65,25 +65,32 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("bad", [
+_INVALID_NUMBERS = [
     # accepted before strict validation, with meaningless rows
-    {"beta": float("nan"), "schemes": ["pb-s-sp"]},
-    {"snr_db_grid": [float("inf")]},
+    ({"beta": float("nan"), "schemes": ["pb-s-sp"]}, ""),
+    ({"snr_db_grid": [float("inf")]}, ""),
     # TypeError or OverflowError tracebacks before strict validation
-    {"num_frames": 2.5},
-    {"num_relays": True, "distances": [1.0]},
-    {"snr_db_grid": [-1e6]},
+    ({"num_frames": 2.5}, ""),
+    ({"num_relays": True, "distances": [1.0]}, ""),
+    ({"snr_db_grid": [-1e6]}, ""),
     # every compound channel underflowed to 0: exit 0, meaningless counts
-    {"distances": [1e100, 1e100, 1e100]},
+    ({"distances": [1e100, 1e100, 1e100]}, ""),
     # a TypeError message that did not name the key
-    {"distances": None},
-])
-def test_invalid_numbers_exit_1_with_one_line(tmp_path, capsys, bad):
+    ({"distances": None}, ""),
+    # "unknown scheme tokens: []" named no unknown token
+    ({"schemes": []}, "schemes must be a non-empty list of scheme tokens"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad,message", _INVALID_NUMBERS,
+    ids=["bad%d" % i for i in range(len(_INVALID_NUMBERS))])
+def test_invalid_numbers_exit_1_with_one_line(tmp_path, capsys, bad, message):
     cfg = _cfg_file(tmp_path, {**BER_CFG, **bad})
     out = tmp_path / "o"
     assert main(["ber", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: " + message) and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -13,17 +13,12 @@ from hypothesis import strategies as st
 
 from relaybf import engine, network
 from relaybf.adaptation import (
+    BeamVector,
     ConstraintKind,
-    PmState,
     Scheme,
     build_perturbation_set,
-    init_pm_state,
-    init_tr_state,
     init_weights,
-    pm_perturb,
-    pm_step,
-    tr_perturb,
-    tr_step,
+    probes,
 )
 from relaybf.channel import JakesBank, complex_normal
 from relaybf.engine import (
@@ -139,36 +134,41 @@ def test_config_round_trip_and_unknown_keys(valid, anything):
         assert ExperimentConfig.from_dict(built.to_dict()) == built
 
 
-@pytest.mark.parametrize("bad", [
-    {"beta": 0.0},
-    {"scheme": "pm", "num_pilots": 9},
-    {"distances": [1.0, 2.0]},
-    {"schemes": ["no-bf", "bogus"]},
-    {"scheme": "take-reject"},
-    {"forgetting_factor": 0.0},
-    {"cdf_frames": [5, 999]},
-    {"snr_db_grid": []},
-    {"seed": -1},
-    {"beta": float("nan")},
-    {"betas": []},
-    {"betas": [0.1, float("inf")]},
-    {"distances": [1.0, 3.0, float("inf")]},
+_BAD_CONFIGS = [
+    ({"beta": 0.0}, None),
+    ({"scheme": "pm", "num_pilots": 9}, None),
+    ({"distances": [1.0, 2.0]}, None),
+    ({"schemes": ["no-bf", "bogus"]}, None),
+    ({"scheme": "take-reject"}, None),
+    ({"forgetting_factor": 0.0}, None),
+    ({"cdf_frames": [5, 999]}, None),
+    ({"snr_db_grid": []}, None),
+    ({"seed": -1}, None),
+    ({"beta": float("nan")}, None),
+    ({"betas": []}, None),
+    ({"betas": [0.1, float("inf")]}, None),
+    ({"distances": [1.0, 3.0, float("inf")]}, None),
     # d**-4 under- or overflows: every compound channel is 0 or inf
-    {"distances": [1e100, 1e100, 1e100]},
-    {"distances": [1.0, 3.0, 1e-100]},
-    {"distances": None},  # only lists with a derived default take null
-    {"snr_db_grid": [float("inf")]},
-    {"snr_db_grid": [-1e6]},  # noise power overflows
-    {"snr_db_grid": [1e6]},   # noise power underflows to zero
-    {"snr_db_grid": 18.0},
-    {"num_frames": 2.5},
-    {"num_frames": "30"},
-    {"num_relays": True},
-    {"cdf_frames": [10.5]},
-    {"schemes": ["p-sp", "p-sp"]},
-])
-def test_config_rejects_bad_values(bad):
-    with pytest.raises(ConfigError):
+    ({"distances": [1e100, 1e100, 1e100]}, None),
+    ({"distances": [1.0, 3.0, 1e-100]}, None),
+    ({"distances": None}, None),  # only lists with a derived default take null
+    ({"snr_db_grid": [float("inf")]}, None),
+    ({"snr_db_grid": [-1e6]}, None),  # noise power overflows
+    ({"snr_db_grid": [1e6]}, None),   # noise power underflows to zero
+    ({"snr_db_grid": 18.0}, None),
+    ({"num_frames": 2.5}, None),
+    ({"num_frames": "30"}, None),
+    ({"num_relays": True}, None),
+    ({"cdf_frames": [10.5]}, None),
+    ({"schemes": ["p-sp", "p-sp"]}, None),
+    ({"schemes": []}, "schemes must be a non-empty list of scheme tokens"),
+]
+
+
+@pytest.mark.parametrize("bad,match", _BAD_CONFIGS,
+                         ids=["bad%d" % i for i in range(len(_BAD_CONFIGS))])
+def test_config_rejects_bad_values(bad, match):
+    with pytest.raises(ConfigError, match=match):
         ExperimentConfig(**bad)
 
 
@@ -237,59 +237,60 @@ def test_noiseless_link_detects_without_errors():
 def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                                            objective, forgetting, snr_db,
                                            seed):
-    # The batch kernels, the per-link step functions and the relay mirror
-    # fed the kernel's bits must agree bitwise: the distributed agents rely
-    # on it.
+    # A kernel on a stack of links, the same kernel on each link alone, and
+    # a relay mirror fed that link's bits must agree bitwise: the
+    # distributed agents rely on it.
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-snr_db / 10.0)
+    links = 3
     hbar, gbar = network.ideal_compound(
-        complex_normal(rng, (1, r)).T, complex_normal(rng, (1, r)).T,
+        complex_normal(rng, (links, r)).T, complex_normal(rng, (links, r)).T,
         engine._relay_power(constraint, r), noise)
-    cp = CompoundParams(hbar[:, 0], gbar[:, 0])
 
-    def measure(v):
-        # the public objectives are the kernel's on a batch of one
-        j = objective_power(v, cp) if objective is Objective.POWER \
-            else objective_snr(v, cp, noise)
-        assert j == engine._objective_batch(objective, v.w[:, None], hbar,
-                                            gbar, noise)[0]
+    def step(w, best, k, hbar, gbar):
+        if scheme is Scheme.TR:
+            return engine._tr_batch(w, best, k, beta, pset, constraint,
+                                    objective, hbar, gbar, noise, forgetting)
+        w, take = engine._pm_batch(w, k, beta, pset, constraint, objective,
+                                   hbar, gbar, noise)
+        return w, best, take
+
+    def measure(c):
+        # the public objectives are the kernel's on a single vector
+        j = engine._objective_batch(objective, c, hbar, gbar, noise)
+        for i in range(links):
+            v, cp = BeamVector(c[:, i], constraint), CompoundParams(
+                hbar[:, i], gbar[:, i])
+            assert j[i] == (objective_power(v, cp)
+                            if objective is Objective.POWER
+                            else objective_snr(v, cp, noise))
         return j
 
     pset = build_perturbation_set(r, scheme)
-    w = init_weights(r, constraint).w[:, None].copy()
-    best = np.zeros(1)
-    agent = RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
-    if scheme is Scheme.TR:
-        state = init_tr_state(r, constraint, forgetting)
-    else:
-        state = init_pm_state(r, constraint)
+    start = init_weights(r, constraint).w[:, None]
+    w, best = np.tile(start, (1, links)), np.zeros(links)
+    alone = [(start, np.zeros(1))] * links
+    agents = [RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
+              for _ in range(links)]
     for k in range(30):
-        if scheme is Scheme.TR:
-            cand = tr_perturb(state, beta, pset)
-            state, bit = tr_step(state, cand, measure(cand))
-            w, best, take = engine._tr_batch(
-                w, best, k, beta, pset, constraint, objective, hbar, gbar,
-                noise, forgetting)
-            assert best[0] == state.best_objective
-            if k == 0:
-                assert bit == 1  # the stored best starts at zero
-        else:
-            plus, minus = pm_perturb(state, beta, pset)
-            state, bit = pm_step(state, plus, minus, measure(plus),
-                                 measure(minus))
-            w, take = engine._pm_batch(w, k, beta, pset, constraint,
-                                       objective, hbar, gbar, noise)
-            if k == 0:
-                # the first direction is parallel to the start vector, so
-                # the probes tie up to rounding; an exact tie keeps plus
-                assert measure(plus) == pytest.approx(measure(minus),
-                                                      rel=1e-12)
-                if np.array_equal(plus.w, minus.w):
-                    assert bit == 0
-        assert int(take[0]) == bit
-        assert np.array_equal(w[:, 0], state.w_data.w)
-        agent.advance(int(take[0]))
-        assert np.array_equal(agent.weight_vector, w[:, 0])
+        cand = probes(scheme, w, pset.column(k), beta, constraint)
+        j = [measure(c) for c in cand]
+        w, best, take = step(w, best, k, hbar, gbar)
+        if k == 0 and scheme is Scheme.TR:
+            assert take.all()  # the stored best starts at zero
+        if k == 0 and scheme is Scheme.PM:
+            # the first direction is parallel to the start vector, so the
+            # probes tie up to rounding; an exact tie keeps plus
+            np.testing.assert_allclose(j[1], j[0], rtol=1e-12)
+            assert not take[np.all(cand[0] == cand[1], axis=0)].any()
+        for i in range(links):
+            w_i, best_i, take_i = step(*alone[i], k, hbar[:, i:i + 1],
+                                       gbar[:, i:i + 1])
+            alone[i] = w_i, best_i
+            assert np.array_equal(w_i[:, 0], w[:, i])
+            assert best_i[0] == best[i] and take_i[0] == take[i]
+            agents[i].advance(int(take[i]))
+            assert np.array_equal(agents[i].weight_vector, w[:, i])
 
 
 CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
@@ -569,24 +570,24 @@ def test_realistic_pm_detection_uses_previous_winner():
     rng = np.random.default_rng(8)
     bank = JakesBank.draw(rng, (1, 4), 0.01, 1.0)
     pset = build_perturbation_set(2, Scheme.PM)
-    w = init_weights(2, SUM)
-    ws, carry = w.w[:, None], None
+    w = init_weights(2, SUM).w
+    ws, carry = w[:, None], None
     for f in range(6):
         gx, v, measured = _frame_inputs(bank, f, rng, 1e-3)
         ws, winner, h_data, _ = engine._pm_track_frame(
             ws, carry, 0.1, pset.column(f), Objective.SNR, SUM, gx, v,
             measured, False)
-        # the same frame through the scalar candidates and estimators
+        # the same frame through one link's candidates and the estimators
         alpha = np.sqrt(1.0 / measured[0])
-        probes = pm_perturb(PmState(w, f), 0.1, pset)
+        cand = probes(Scheme.PM, w, pset.column(f), 0.1, SUM)
         blocks = [PilotBlock(np.ones(5), np.sum(
-            gx[i][0] * (np.conj(c.w) * alpha)[None, :], axis=-1) + v[i][0])
-            for i, c in enumerate(probes)]
+            gx[i][0] * (np.conj(c) * alpha)[None, :], axis=-1) + v[i][0])
+            for i, c in enumerate(cand)]
         halves = [estimate_compound_channel(b) for b in blocks]
         won = int(estimate_snr(halves[1], blocks[1])
                   > estimate_snr(halves[0], blocks[0]))
-        w = probes[won]
-        np.testing.assert_array_equal(ws[:, 0], w.w)
+        w = cand[won]
+        np.testing.assert_array_equal(ws[:, 0], w)
         assert winner[0] == pytest.approx(halves[won], rel=1e-12)
         assert h_data[0] == (winner[0] if carry is None else carry[0])
         carry = winner
@@ -606,8 +607,8 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     _, winner, h_data, _ = engine._pm_track_frame(
         w0.w[:, None], np.array([7.0 + 0j]), 0.1, pset.column(1),
         Objective.POWER, SUM, gx, v, measured, True)
-    plus, minus = pm_perturb(PmState(w0, 1), 0.1, pset)
-    a = lambda c: np.sum(np.conj(c.w) * g * h / np.abs(h))
+    plus, minus = probes(Scheme.PM, w0.w, pset.column(1), 0.1, SUM)
+    a = lambda c: np.sum(np.conj(c) * g * h / np.abs(h))
     assert a(plus) != pytest.approx(a(minus), rel=1e-3)
     assert h_data[0] == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)
     assert winner[0] == pytest.approx(max(a(plus), a(minus), key=abs),

@@ -10,12 +10,10 @@ from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
     build_perturbation_set,
-    init_pm_state,
-    init_tr_state,
-    pm_perturb,
-    pm_step,
-    tr_perturb,
-    tr_step,
+    decide,
+    init_weights,
+    probes,
+    select,
 )
 from relaybf.channel import complex_normal
 from relaybf.membership import (
@@ -32,7 +30,7 @@ from relaybf.membership import (
     index_bits,
     insert_coordinate,
 )
-from relaybf.network import CompoundParams, objective_power
+from relaybf.network import _signal_power
 
 
 def test_index_bits_values():
@@ -159,7 +157,7 @@ def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
     weight vector after every frame.
     """
     reg = registry.copy()
-    state = init_pm_state(reg.num_active, constraint)
+    w, frame = init_weights(reg.num_active, constraint).w, 0
     pset = build_perturbation_set(reg.num_active, Scheme.PM)
     bits, messages, weights = [], {}, []
     for k in range(frames):
@@ -168,25 +166,23 @@ def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
             if kind == "death":
                 pos = reg.position_of(idx)
                 reg, msg = apply_death(reg, idx)
-                state = type(state)(exclude_coordinate(state.w_data, pos),
-                                    state.frame_index)
+                w = exclude_coordinate(BeamVector(w, constraint), pos).w
             else:
                 reg, msg = apply_birth(reg, idx)
                 if constraint is ConstraintKind.SUM_POWER:
-                    state = init_pm_state(reg.num_active, constraint)
+                    w, frame = init_weights(reg.num_active, constraint).w, 0
                 else:
                     pos = reg.position_of(idx)
-                    state = type(state)(insert_coordinate(state.w_data, pos),
-                                        state.frame_index)
+                    w = insert_coordinate(BeamVector(w, constraint), pos).w
             pset = build_perturbation_set(reg.num_active, Scheme.PM)
             messages[k] = msg
-        cp = CompoundParams(hbar_full[reg.active], np.zeros(reg.num_active))
-        plus, minus = pm_perturb(state, beta, pset)
-        state, bit = pm_step(state, plus, minus,
-                             objective_power(plus, cp),
-                             objective_power(minus, cp))
+        cand = probes(Scheme.PM, w, pset.column(frame), beta, constraint)
+        bit, _ = decide(Scheme.PM, [_signal_power(c, hbar_full[reg.active])
+                                    for c in cand])
+        w = select(w, cand, bit)
+        frame += 1
         bits.append(bit)
-        weights.append(state.w_data.w.copy())
+        weights.append(w)
     return bits, messages, weights
 
 
@@ -214,16 +210,17 @@ def test_agent_mirrors_pm_through_death_and_birth(constraint):
 def test_agent_mirrors_tr():
     rng = np.random.default_rng(5)
     hbar = complex_normal(rng, (3,))
-    cp = CompoundParams(hbar, np.zeros(3))
-    state = init_tr_state(3, ConstraintKind.SUM_POWER)
+    w, best = init_weights(3, ConstraintKind.SUM_POWER).w, 0.0
     pset = build_perturbation_set(3, Scheme.TR)
     agent = RelayAgent(0, RelayRegistry.full(3), Scheme.TR,
                        ConstraintKind.SUM_POWER, 0.15)
-    for _ in range(40):
-        cand = tr_perturb(state, 0.15, pset)
-        state, bit = tr_step(state, cand, objective_power(cand, cp))
+    for k in range(40):
+        cand = probes(Scheme.TR, w, pset.column(k), 0.15,
+                      ConstraintKind.SUM_POWER)
+        bit, best = decide(Scheme.TR, (_signal_power(cand[0], hbar),), best)
+        w = select(w, cand, bit)
         agent.advance(bit)
-        assert np.array_equal(agent.weight_vector, state.w_data.w)
+        assert np.array_equal(agent.weight_vector, w)
 
 
 def test_agent_own_weight_and_activity():

@@ -3,19 +3,18 @@ import pytest
 
 from relaybf.adaptation import ConstraintKind, init_weights
 from relaybf.channel import PathLoss, sample_static_rayleigh
-from relaybf.network import (CompoundParams, NetworkParams, compound_params,
-                             ideal_relay_gains, objective_power, objective_snr)
+from relaybf.network import (CompoundParams, ideal_compound, objective_power,
+                             objective_snr)
 from relaybf.oracles import (DegenerateChannelError, closed_form, egc_weights,
                              nobf_weights, psp_weights, random_search_margins,
                              ssp_weights)
 
 
 def _random_compound(seed, r=3, noise_power=10.0 ** -1.8):
-    params = NetworkParams(r, 1.0, 1.0, noise_power)
     chan = sample_static_rayleigh(np.random.default_rng(seed),
                                   PathLoss([1.0, 3.0, 5.0][:r]))
-    alphas = ideal_relay_gains(params, chan)
-    return compound_params(params, chan, alphas), noise_power
+    hbar, gbar = ideal_compound(chan.h, chan.g, 1.0, noise_power)
+    return CompoundParams(hbar, gbar), noise_power
 
 
 def test_egc_aligns_phases():
