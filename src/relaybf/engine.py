@@ -385,7 +385,9 @@ def _convergence_block(cfg, start, count):
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
                                         noise_power)
-    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+    # a noise power far below the channel gains overflows the SNR to inf,
+    # which the check below turns into a one-line error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w_opt = oracles.closed_form("s-sp", hbar, gbar)
         snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
     if not np.all((snr_opt > 0) & (snr_opt < np.inf)):

@@ -123,11 +123,30 @@ def test_decide_and_select_on_a_batch():
     np.testing.assert_array_equal(best, [0.95, 0.9, 0.45])
     np.testing.assert_array_equal(select(minus, (plus,), bit).T,
                                   [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    # TR without forgetting: an exact tie rejects, anything above takes
-    bit, best = decide(Scheme.TR, (np.array([1.0, 1.0 + 1e-9]),),
-                       np.array([1.0, 1.0]))
-    assert bit.tolist() == [False, True]
-    np.testing.assert_array_equal(best, [1.0, 1.0 + 1e-9])
+
+
+def test_tr_step_take_reject_and_tie():
+    # one link, unit forgetting: an exact tie rejects, anything above takes
+    w, cand = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    bit, best = decide(Scheme.TR, (1.0,), 1.0)
+    assert not bit
+    assert best == 1.0
+    np.testing.assert_array_equal(select(w, (cand,), bit), w)
+    bit, best = decide(Scheme.TR, (1.0 + 1e-9,), 1.0)
+    assert bit
+    assert best == 1.0 + 1e-9
+    np.testing.assert_array_equal(select(w, (cand,), bit), cand)
+
+
+def test_pm_step_selection_and_tie():
+    # one link: J- > J+ takes minus, a tie keeps plus
+    plus, minus = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    bit, _ = decide(Scheme.PM, (2.0, 3.0))
+    assert bit
+    np.testing.assert_array_equal(select(None, (plus, minus), bit), minus)
+    bit, _ = decide(Scheme.PM, (2.0, 2.0))
+    assert not bit
+    np.testing.assert_array_equal(select(None, (plus, minus), bit), plus)
 
 
 def test_perturbed_vectors_stay_feasible():

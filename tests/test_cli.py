@@ -235,8 +235,12 @@ _WIDE = st.floats(-40.0, 60.0) | st.floats(-40.0, 60.0) \
 _POSITIVE = st.floats(1e-3, 2.0) | st.floats(1e-3, 2.0) \
     | st.floats(min_value=0.0, allow_infinity=False)
 _ADAPTIVE = sorted(t for t, (objective, _) in SCHEMES.items() if objective)
-_JUNK = st.none() | st.booleans() | st.text(max_size=2) | st.integers() \
-    | st.floats() | st.lists(st.integers(-1, 2), max_size=2)
+# no large finite junk number: a size key set to 2**63 - 3 or 2.4e16 is a
+# valid config that would run for days
+_JUNK = st.none() | st.booleans() | st.text(max_size=2) \
+    | st.integers(max_value=5) | st.floats(max_value=5.0) \
+    | st.sampled_from([math.nan, math.inf]) \
+    | st.lists(st.integers(-1, 2), max_size=2)
 
 
 @st.composite
@@ -298,6 +302,9 @@ _SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
 # ... or every |hbar|^2 does, so the s-sp weights are 0/0 (with warnings)
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [-300.0],
                "distances": [1e76] * 3})
+# each relay's SNR overflows to inf: the s-sp check must not warn first
+@example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [2547.0],
+               "distances": [1e-27] * 3})
 def test_any_json_config_exits_1_or_writes_finite_csvs(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
