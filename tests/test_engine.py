@@ -17,8 +17,10 @@ from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
     build_perturbation_set,
+    decide,
     init_weights,
     probes,
+    select,
 )
 from relaybf.channel import JakesBank, complex_normal
 from relaybf.engine import (
@@ -275,7 +277,13 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     for k in range(30):
         cand = probes(scheme, w, pset.column(k), beta, constraint)
         j = [measure(c) for c in cand]
+        # the public decision rule, with the drawn forgetting factor, on the
+        # public objectives; PM passes the stored best through
+        bit, next_best = decide(scheme, j, best, forgetting)
+        next_w = select(w, cand, bit)
         w, best, take = step(w, best, k, hbar, gbar)
+        assert np.array_equal(bit, take) and np.array_equal(next_best, best)
+        assert np.array_equal(next_w, w)
         if k == 0 and scheme is Scheme.TR:
             assert take.all()  # the stored best starts at zero
         if k == 0 and scheme is Scheme.PM:
