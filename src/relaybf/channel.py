@@ -18,14 +18,25 @@ DEFAULT_NUM_OSCILLATORS = 32
 MIN_NUM_OSCILLATORS = 8
 
 
+def _complex_gaussian(z, variance=1.0):
+    """sqrt(variance/2) * (z[0] + 1j*z[1]) for standard normals `z` stacked
+    (re, im, ...) on the leading axis; the one complex-Gaussian assembly.
+
+    Elementwise, so the bits of each entry do not depend on how many draws
+    are stacked behind it.
+    """
+    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
+    return scale * (z[0] + 1j * z[1])
+
+
 def complex_normal(rng, shape, variance=1.0):
     """Circularly-symmetric complex Gaussian draws with the given total variance.
 
     `variance` may be an array broadcastable against `shape`.  The real parts
     of the whole block are drawn before the imaginary parts.
     """
-    scale = np.sqrt(np.asarray(variance, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    return _complex_gaussian(rng.standard_normal((2,) + shape), variance)
 
 
 @dataclass
@@ -72,11 +83,18 @@ class ChannelRealization:
         return int(self.h.size)
 
 
+def _static_rayleigh(z, variances):
+    """Backward and forward channels (h, g), each (R, *links), from standard
+    normals `z` shaped (4, R, *links): h's real and imaginary parts, then
+    g's.  `variances` (R,) are the per-relay fading variances."""
+    var = np.reshape(variances, np.shape(variances) + (1,) * (z.ndim - 2))
+    return _complex_gaussian(z[:2], var), _complex_gaussian(z[2:], var)
+
+
 def sample_static_rayleigh(rng, path_loss):
     """Draw one i.i.d. Rayleigh realization of all backward/forward channels."""
-    h = complex_normal(rng, path_loss.num_relays, path_loss.variances)
-    g = complex_normal(rng, path_loss.num_relays, path_loss.variances)
-    return ChannelRealization(h, g)
+    z = rng.standard_normal((4, path_loss.num_relays))
+    return ChannelRealization(*_static_rayleigh(z, path_loss.variances))
 
 
 def _oscillator_angles(num_oscillators):
@@ -114,6 +132,8 @@ class JakesBank:
         self.amplitudes = np.broadcast_to(
             np.asarray(amplitudes, dtype=float), phases.shape[:-1]).copy()
         self.angles = _oscillator_angles(phases.shape[-1])
+        self.omega = 2.0 * np.pi * self.doppler_per_symbol * np.cos(self.angles)
+        self._rot = None  # (count, rotations) of the last block length
         self.symbol_clock = 0
 
     @classmethod
@@ -134,8 +154,11 @@ class JakesBank:
         if start_index < self.symbol_clock:
             raise ValueError("symbol time must advance monotonically")
         m = self.num_oscillators
-        omega = 2.0 * np.pi * self.doppler_per_symbol * np.cos(self.angles)
-        rot = np.exp(1j * np.outer(omega, np.arange(count)))        # (M, count)
-        base = np.exp(1j * (self.phases + omega * start_index))     # (*s, M)
+        # entry (m, k) does not depend on `count`, so a repeated length reuses it
+        if self._rot is None or self._rot[0] != count:
+            self._rot = (count, np.exp(1j * np.outer(self.omega,
+                                                     np.arange(count))))
+        rot = self._rot[1]                                            # (M, count)
+        base = np.exp(1j * (self.phases + self.omega * start_index))  # (*s, M)
         self.symbol_clock = int(start_index + count - 1)
         return (base @ rot) * (self.amplitudes[..., None] / np.sqrt(m))

@@ -27,7 +27,7 @@ import numpy as np
 from . import adaptation, channel, estimation, network, oracles
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
                          init_weights)
-from .channel import JakesBank, PathLoss, complex_normal, sample_static_rayleigh
+from .channel import JakesBank, PathLoss
 
 _STREAM_CHANNEL = 0
 _STREAM_NOISE = 1
@@ -305,15 +305,20 @@ def _relay_power(constraint, num_relays):
 
 
 def _draw_channels(cfg, start, count):
-    """Per-realization static channel draws, stacked (R, count)."""
-    pl = PathLoss(cfg.distances)
-    h = np.empty((cfg.num_relays, count), dtype=complex)
-    g = np.empty_like(h)
+    """Per-realization static channel draws, stacked (R, count).
+
+    Each realization's stream fills its row of one normal block in a single
+    call, with the layout of `channel.sample_static_rayleigh`; the block is
+    then folded into complex channels once.
+    """
+    z = np.empty((count, 4, cfg.num_relays))
     for j, i in enumerate(range(start, start + count)):
-        ch = sample_static_rayleigh(_stream(cfg.seed, i, _STREAM_CHANNEL), pl)
-        h[:, j] = ch.h
-        g[:, j] = ch.g
-    return h, g
+        _stream(cfg.seed, i, _STREAM_CHANNEL).standard_normal(out=z[j])
+    h, g = channel._static_rayleigh(z.transpose(1, 2, 0),
+                                    PathLoss(cfg.distances).variances)
+    # C order, as the callers always got: numpy's summation order, and so
+    # the bits of a reduction, can depend on the memory layout
+    return np.ascontiguousarray(h), np.ascontiguousarray(g)
 
 
 def _iter_block_results(fn, payloads, workers):
@@ -468,6 +473,27 @@ class BerResult:
         raise KeyError((scheme, snr_db))
 
 
+def _draw_ber_noise(cfg, start, count):
+    """Data bits and unit-variance complex noise, each (count, frames, data).
+
+    Each realization's stream draws its bits, then fills its row of one
+    normal block (re, im) in a single call; the block is then assembled
+    once, in place, so at most one float and one complex block are alive.
+    """
+    shape = (cfg.num_frames, cfg.num_data)
+    bits = np.empty((count,) + shape, dtype=np.int8)
+    zz = np.empty((count, 2) + shape)
+    for j, i in enumerate(range(start, start + count)):
+        rng = _stream(cfg.seed, i, _STREAM_NOISE)
+        bits[j] = rng.integers(0, 2, size=shape)
+        rng.standard_normal(out=zz[j])
+    # (re + 1j*im) / sqrt(2), not `channel._complex_gaussian`: dividing by
+    # sqrt(2) rounds differently from scaling by sqrt(1/2)
+    z = np.multiply(1j, zz[:, 1])
+    np.add(zz[:, 0], z, out=z)
+    return bits, np.divide(z, np.sqrt(2.0), out=z)
+
+
 def _ber_block(cfg, points, start, count):
     """BER of one realization range at the SNR points `points`.
 
@@ -505,13 +531,7 @@ def _ber_block(cfg, points, start, count):
 
     # shared data bits and unit-variance noise: schemes are compared on
     # identical draws, only the effective channel differs
-    bits = np.empty((count, n_frames, n_data), dtype=np.int8)
-    z = np.empty((count, n_frames, n_data), dtype=complex)
-    for j, i in enumerate(range(start, start + count)):
-        rng = _stream(cfg.seed, i, _STREAM_NOISE)
-        bits[j] = rng.integers(0, 2, size=(n_frames, n_data))
-        zz = rng.standard_normal((2, n_frames, n_data))
-        z[j] = (zz[0] + 1j * zz[1]) / np.sqrt(2.0)
+    bits, z = _draw_ber_noise(cfg, start, count)
     s = 1.0 - 2.0 * bits
 
     errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
@@ -633,6 +653,26 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     return adaptation.select(w, cand, take_minus), h_winner, h_data, y_d
 
 
+def _draw_frame_noise(rngs, s_total, r, num_data, noise_power):
+    """One tracking frame's relay noise (count, S, R), destination noise
+    (count, S) and data bits (count, num_data), one stream per realization.
+
+    Each stream makes one normal call, for the relay noise (re, im) and then
+    the destination noise (re, im), followed by one bit call; the block is
+    then assembled into complex noise once.
+    """
+    count = len(rngs)
+    z = np.empty((count, 2 * s_total * (r + 1)))
+    bits = np.empty((count, num_data), dtype=np.int64)
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=z[j])
+        bits[j] = rng.integers(0, 2, size=num_data)
+    zn = z[:, :2 * s_total * r].reshape(count, 2, s_total, r).swapaxes(0, 1)
+    zv = z[:, 2 * s_total * r:].reshape(count, 2, s_total).swapaxes(0, 1)
+    return (channel._complex_gaussian(zn, noise_power),
+            channel._complex_gaussian(zv, noise_power), bits)
+
+
 def _tracking_block(cfg, start, count):
     """Tracking BER of one realization range over the whole grid.
 
@@ -668,18 +708,12 @@ def _tracking_block(cfg, start, count):
     carry = [None] * len(schemes)
     whole = cfg.pm_estimation_mode == "whole"
     errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)
-    n = np.empty((count, s_total, r), dtype=complex)
-    v = np.empty((count, s_total), dtype=complex)
-    bits = np.empty((count, ld), dtype=np.int64)
     for f in range(cfg.warmup_frames + cfg.num_frames):
         coeff = np.stack([bank.block(f * s_total, s_total)
                           for bank in banks])            # (D, count, 2R, S)
         h_t = coeff[:, :, :r, :].transpose(0, 1, 3, 2)   # (D, count, S, R)
         g_t = coeff[:, :, r:, :].transpose(0, 1, 3, 2)
-        for j in range(count):
-            n[j] = complex_normal(rngs[j], (s_total, r), noise_power)
-            v[j] = complex_normal(rngs[j], s_total, noise_power)
-            bits[j] = rngs[j].integers(0, 2, size=ld)
+        n, v, bits = _draw_frame_noise(rngs, s_total, r, ld, noise_power)
         s = np.concatenate(
             [np.ones((count, lp)), 1.0 - 2.0 * bits], axis=1)
         x, measured = network.relay_receive(h_t, s, n)  # source power 1
@@ -717,6 +751,12 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
         # one pilot per half leaves no residual: every probe scores SNR_MAX
         raise ConfigError("SNR-objective tracking needs num_pilots >= 4, "
                           "at least 2 pilots per half")
+    frames = cfg.warmup_frames + cfg.num_frames
+    for doppler in cfg.normalized_doppler_grid:
+        # bounds every oscillator phase omega*t that JakesBank computes
+        if not math.isfinite(2.0 * math.pi * doppler * frames):
+            raise ConfigError("normalized_doppler_grid entry %r overflows the "
+                              "fading phase over %d frames" % (doppler, frames))
     payloads = ((cfg, start, count)
                 for start, count in _block_ranges(cfg, cfg.num_realizations))
     bits_total = 0

@@ -25,6 +25,17 @@ def test_complex_normal_broadcasts_variance():
     assert emp == pytest.approx(var, rel=0.03)
 
 
+@pytest.mark.parametrize("shape,variance", [
+    (5, 2.0), ((4, 3), np.array([1.0, 1.0 / 9.0, 1.0 / 25.0])), ((), 0.5)])
+def test_complex_normal_bytes_match_two_normal_calls(shape, variance):
+    # the real parts of the whole block, then the imaginary parts
+    z = complex_normal(np.random.default_rng(11), shape, variance)
+    rng = np.random.default_rng(11)
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    ref = np.sqrt(np.asarray(variance) / 2.0) * (re + 1j * im)
+    assert z.shape == ref.shape and z.tobytes() == ref.tobytes()
+
+
 def test_path_loss_values():
     pl = PathLoss([1.0, 3.0, 5.0])
     assert pl.num_relays == 3
@@ -64,6 +75,11 @@ def test_static_rayleigh_single_draw_shape():
     pl = PathLoss([1.0, 2.0])
     chan = sample_static_rayleigh(np.random.default_rng(3), pl)
     assert chan.h.shape == (2,) and chan.g.shape == (2,)
+    # the bits of drawing h, then g, with complex_normal
+    rng = np.random.default_rng(3)
+    h = complex_normal(rng, 2, pl.variances)
+    g = complex_normal(rng, 2, pl.variances)
+    assert chan.h.tobytes() == h.tobytes() and chan.g.tobytes() == g.tobytes()
 
 
 def test_jakes_bank_validation():

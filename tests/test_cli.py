@@ -222,6 +222,25 @@ def test_tracking_snr_objective_needs_two_pilots_per_half(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"normalized_doppler_grid": [1e308]},
+    {"normalized_doppler_grid": [0.05, 1e307], "warmup_frames": 2,
+     "num_frames": 2},
+], ids=["1e308", "1e307-4-frames"])
+def test_tracking_rejects_a_doppler_that_overflows_the_phase(tmp_path, capsys,
+                                                             bad):
+    # omega * t overflowed in JakesBank.block: NaN fading, exit 0, BER ~ 1/2
+    cfg = _cfg_file(tmp_path, {**TRACK_CFG, **bad})
+    out = tmp_path / "t"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tracking", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: normalized_doppler_grid entry ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_oracle_check_passes(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, {"num_realizations": 2, "seed": 0})
     assert main(["oracle-check", "--config", cfg]) == 0
@@ -305,6 +324,8 @@ _SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
 # each relay's SNR overflows to inf: the s-sp check must not warn first
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [2547.0],
                "distances": [1e-27] * 3})
+# omega * t overflows the fading phase to inf, and the channels to NaN
+@example(data={**_SMALL, "scheme": "pm", "normalized_doppler_grid": [1e308]})
 def test_any_json_config_exits_1_or_writes_finite_csvs(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"

@@ -22,7 +22,8 @@ from relaybf.adaptation import (
     probes,
     select,
 )
-from relaybf.channel import JakesBank, complex_normal
+from relaybf.channel import (JakesBank, PathLoss, complex_normal,
+                             sample_static_rayleigh)
 from relaybf.engine import (
     SCHEMES,
     ConfigError,
@@ -642,3 +643,53 @@ def test_streams_are_stable_and_distinct():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       start=st.integers(0, 10**6), count=st.integers(1, 6),
+       exponents=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
+def test_draw_channels_match_the_scalar_draws(r, seed, start, count,
+                                              exponents):
+    # the block fold gives the bits of one scalar draw per realization
+    distances = [10.0 ** e for e in exponents[:r]]
+    cfg = ExperimentConfig(num_relays=r, distances=distances, seed=seed)
+    h, g = engine._draw_channels(cfg, start, count)
+    assert h.shape == g.shape == (r, count)
+    assert h.flags.c_contiguous and g.flags.c_contiguous
+    for j in range(count):
+        chan = sample_static_rayleigh(
+            engine._stream(seed, start + j, engine._STREAM_CHANNEL),
+            PathLoss(distances))
+        assert h[:, j].tobytes() == chan.h.tobytes()
+        assert g[:, j].tobytes() == chan.g.tobytes()
+
+
+def test_tracking_frame_noise_matches_the_per_realization_draws():
+    # per frame and stream: relay noise, destination noise, then the bits
+    s_total, r, num_data, noise = 7, 3, 4, 0.3
+    rngs = [engine._stream(5, i, engine._STREAM_NOISE) for i in range(4)]
+    refs = [engine._stream(5, i, engine._STREAM_NOISE) for i in range(4)]
+    for _ in range(3):
+        n, v, bits = engine._draw_frame_noise(rngs, s_total, r, num_data,
+                                              noise)
+        assert n.flags.c_contiguous and v.flags.c_contiguous
+        for j, rng in enumerate(refs):
+            assert n[j].tobytes() \
+                == complex_normal(rng, (s_total, r), noise).tobytes()
+            assert v[j].tobytes() \
+                == complex_normal(rng, s_total, noise).tobytes()
+            assert bits[j].tobytes() \
+                == rng.integers(0, 2, size=num_data).tobytes()
+
+
+def test_ber_noise_matches_the_per_realization_draws():
+    # per stream: the bits, then the real and imaginary noise blocks
+    cfg = ExperimentConfig(num_frames=3, num_data=5, seed=9)
+    bits, z = engine._draw_ber_noise(cfg, 4, 3)
+    for j in range(3):
+        rng = engine._stream(9, 4 + j, engine._STREAM_NOISE)
+        assert bits[j].tobytes() \
+            == rng.integers(0, 2, size=(3, 5)).astype(np.int8).tobytes()
+        zz = rng.standard_normal((2, 3, 5))
+        assert z[j].tobytes() == ((zz[0] + 1j * zz[1]) / np.sqrt(2.0)).tobytes()
