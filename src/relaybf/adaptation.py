@@ -89,6 +89,8 @@ def relay_sum(x):
 
 def _normalize_sum(w_raw, fallback):
     norm = np.sqrt(relay_sum(np.abs(w_raw) ** 2))
+    if ZERO_NORM <= norm.min() and norm.max() < np.inf:  # the common case
+        return w_raw / norm
     if np.isinf(norm).any():
         # |w|^2 overflowed (norm >= 1e154): scaling those vectors by a power
         # of two is exact, keeps their direction, and leaves norm > ZERO_NORM
@@ -185,11 +187,11 @@ def probes(scheme, w, q, beta, constraint):
     """Projected training candidates of working vectors `w` (R, ...) along
     the direction `q` (R,): (w + beta*q,) for TR, (w + beta*q, w - beta*q)
     for PM."""
-    q = np.reshape(q, np.shape(q) + (1,) * (np.ndim(w) - 1))
-    plus = project(w + beta * q, constraint, w)
+    step = beta * np.reshape(q, np.shape(q) + (1,) * (np.ndim(w) - 1))
+    plus = project(w + step, constraint, w)
     if scheme is Scheme.TR:
         return (plus,)
-    return plus, project(w - beta * q, constraint, w)
+    return plus, project(w - step, constraint, w)
 
 
 def decide(scheme, objectives, best=None, forgetting=1.0):

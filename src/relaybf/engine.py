@@ -57,6 +57,7 @@ DEFAULT_BER_SCHEMES = ["no-bf", "egc", "p-sp", "s-sp", "pb-p-sp", "pb-s-sp"]
 DEFAULT_TRACKING_SCHEMES = ["pb-s-sp"]
 
 _DEFAULT_CDF_FRAMES = (10, 20, 40, 70, 100)
+_MAX_BETA = 1e150
 
 
 def _default_gap_thresholds():
@@ -156,10 +157,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        if self.beta <= 0:
-            raise ConfigError("beta must be > 0")
-        if not self.betas or any(b <= 0 for b in self.betas):
-            raise ConfigError("betas must be non-empty, all > 0")
+        # a larger step overflows |w + beta*q|^2 in the projection
+        if not 0 < self.beta <= _MAX_BETA:
+            raise ConfigError("beta must be in (0, 1e150]")
+        if not self.betas or any(not 0 < b <= _MAX_BETA for b in self.betas):
+            raise ConfigError("betas must be non-empty, all in (0, 1e150]")
         if not self.snr_db_grid:
             raise ConfigError("snr_db_grid must be non-empty")
         for snr_db in self.snr_db_grid:
@@ -263,39 +265,54 @@ def _detect_bits(y, h_hat):
 # batched kernels (weights and compound channels (R, *links), relays
 # first): the adaptation step of `adaptation` on exact objectives
 
-def _objective_batch(objective, w, hbar, gbar, noise_power):
+def _objective_batch(objective, w, hbar, gbar2, noise_power):
+    """Exact objectives of weights `w` (R, *links), given hbar and the
+    noise-forwarding powers gbar2 = |gbar|^2.
+
+    `objective` is one `Objective` for the whole stack, or a sequence with
+    one per entry of the scheme axis that follows the relay axis.
+    """
     if objective is Objective.POWER:
         return network._signal_power(w, hbar)
-    return network._snr(w, hbar, gbar, noise_power)
+    if objective is Objective.SNR:
+        return network._snr(w, hbar, gbar2, noise_power)
+    j = network._signal_power(w, hbar)
+    snr = [s for s, o in enumerate(objective) if o is Objective.SNR]
+    if snr:
+        if snr[-1] - snr[0] == len(snr) - 1:  # a run: index with a view
+            snr = slice(snr[0], snr[-1] + 1)
+        # the expression of `network._snr`, on the SNR schemes only
+        j[snr] /= noise_power * (1.0 + network._noise_gain(w[:, snr], gbar2))
+    return j
 
 
 def _tr_batch(w, best, frame_index, beta, pset, constraint, objective,
-              hbar, gbar, noise_power, forgetting):
+              hbar, gbar2, noise_power, forgetting):
     cand = adaptation.probes(Scheme.TR, w, pset.column(frame_index), beta,
                              constraint)
-    j = _objective_batch(objective, cand[0], hbar, gbar, noise_power)
+    j = _objective_batch(objective, cand[0], hbar, gbar2, noise_power)
     take, best = adaptation.decide(Scheme.TR, (j,), best, forgetting)
     return adaptation.select(w, cand, take), best, take
 
 
 def _pm_batch(w, frame_index, beta, pset, constraint, objective,
-              hbar, gbar, noise_power):
+              hbar, gbar2, noise_power):
     cand = adaptation.probes(Scheme.PM, w, pset.column(frame_index), beta,
                              constraint)
     take_minus, _ = adaptation.decide(Scheme.PM, [
-        _objective_batch(objective, c, hbar, gbar, noise_power) for c in cand])
+        _objective_batch(objective, c, hbar, gbar2, noise_power) for c in cand])
     return adaptation.select(w, cand, take_minus), take_minus
 
 
 def _adapt(cfg, pset, frame_index, w, best, objective, constraint,
-           hbar, gbar, noise_power):
+           hbar, gbar2, noise_power):
     """(w, best, bit) after one `cfg.scheme` frame; PM leaves `best` as is."""
     if cfg.scheme is Scheme.TR:
         return _tr_batch(w, best, frame_index, cfg.beta, pset, constraint,
-                         objective, hbar, gbar, noise_power,
+                         objective, hbar, gbar2, noise_power,
                          cfg.forgetting_factor)
     w, bit = _pm_batch(w, frame_index, cfg.beta, pset, constraint, objective,
-                       hbar, gbar, noise_power)
+                       hbar, gbar2, noise_power)
     return w, best, bit
 
 
@@ -319,6 +336,24 @@ def _draw_channels(cfg, start, count):
     # C order, as the callers always got: numpy's summation order, and so
     # the bits of a reduction, can depend on the memory layout
     return np.ascontiguousarray(h), np.ascontiguousarray(g)
+
+
+def _ssp_reference(hbar, gbar2, noise_power):
+    """The s-sp weights' SNR on sum-power compound channels (R, *links).
+
+    Raises `ConfigError` unless every link's value is finite and positive:
+    otherwise the closed forms divide by an underflowed norm, or the SNR
+    objectives overflow, and every curve would rest on NaN or inf values.
+    """
+    # a noise power far from the channel gains underflows or overflows the
+    # SNR, which the check below turns into a one-line error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        snr_opt = network._snr(oracles.closed_form("s-sp", hbar, gbar2),
+                               hbar, gbar2, noise_power)
+    if not np.all((snr_opt > 0) & (snr_opt < np.inf)):
+        raise ConfigError("the s-sp SNR is not finite and positive: at this "
+                          "noise power every relay's SNR is out of range")
+    return snr_opt
 
 
 def _iter_block_results(fn, payloads, workers):
@@ -390,32 +425,32 @@ def _convergence_block(cfg, start, count):
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
                                         noise_power)
-    # a noise power far below the channel gains overflows the SNR to inf,
-    # which the check below turns into a one-line error
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w_opt = oracles.closed_form("s-sp", hbar, gbar)
-        snr_opt = network._snr(w_opt, hbar, gbar, noise_power)
-    if not np.all((snr_opt > 0) & (snr_opt < np.inf)):
-        raise ConfigError("the s-sp SNR is not finite and positive: at this "
-                          "noise power every relay's SNR is out of range")
+    gbar2 = np.abs(gbar) ** 2
+    snr_opt = _ssp_reference(hbar, gbar2, noise_power)
     pset = build_perturbation_set(r, cfg.scheme)
     w = np.tile(init_weights(r, constraint).w[:, None], (1, count))
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
     bit_traj = np.empty((n_traj, cfg.num_frames), dtype=np.int8)
+    # the links whose trajectories are recorded; the SNR is elementwise, so
+    # on them alone it has the bits it has on the whole block
+    traj = slice(0, n_traj)
     wanted = set(cfg.cdf_frames)
     gaps_at = {}
     for k in range(cfg.num_frames + 1):
-        ratio = network._snr(w, hbar, gbar, noise_power) / snr_opt
         if k in wanted:
+            ratio = network._snr(w, hbar, gbar2, noise_power) / snr_opt
             gaps_at[k] = 1.0 - ratio
+        elif n_traj and k < cfg.num_frames:
+            ratio = network._snr(w[:, traj], hbar[:, traj], gbar2[:, traj],
+                                 noise_power) / snr_opt[traj]
         if k == cfg.num_frames:
             break
         if n_traj:
-            snr_traj[:, k] = ratio[:n_traj]
+            snr_traj[:, k] = ratio[traj]
         w, best, bit = _adapt(cfg, pset, k, w, best, objective, constraint,
-                              hbar, gbar, noise_power)
+                              hbar, gbar2, noise_power)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
     return start, snr_traj, bit_traj, gaps_at
@@ -499,35 +534,62 @@ def _ber_block(cfg, points, start, count):
 
     `points` are positions in `cfg.snr_db_grid`.  The channels, bits and
     noise of each realization are drawn once and shared by every point and
-    scheme; the points advance together on a link axis.  Returns the
+    scheme; the points advance together on a link axis.  The adaptive
+    schemes of one constraint share one weight stack (R, schemes, points,
+    count) and advance with one `_adapt` call per frame.  Returns the
     block's bits per point, `points`, and errors shaped (points, schemes).
     """
     r = cfg.num_relays
     noise_power = np.array(
         [_noise_power(cfg.snr_db_grid[p]) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
-    schemes = [(token,) + SCHEMES[token] for token in cfg.schemes]
+    schemes = [SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
-    compound = {ck: network.ideal_compound(h[:, None], g[:, None],
-                                           _relay_power(ck, r), noise_power)
-                for ck in {ck for _, _, ck in schemes}}
+    compound = {}  # constraint -> (hbar, |gbar|^2), each (R, points, count)
+    for ck in {ck for _, ck in schemes} | {ConstraintKind.SUM_POWER}:
+        hbar, gbar = network.ideal_compound(h[:, None], g[:, None],
+                                            _relay_power(ck, r), noise_power)
+        compound[ck] = hbar, np.abs(gbar) ** 2
+    _ssp_reference(*compound[ConstraintKind.SUM_POWER], noise_power)
 
-    weights, best = [], []
-    pset = build_perturbation_set(r, cfg.scheme)
-    for token, objective, ck in schemes:
-        hbar, gbar = compound[ck]
-        b = None
+    def gains(w, hbar, gbar2):
+        """Detection gain a = w^H hbar and noise scale sigma of weights w."""
+        return (adaptation.relay_sum(np.conj(w) * hbar),
+                np.sqrt(noise_power * (1.0 + network._noise_gain(w, gbar2))))
+
+    # closed-form weights never change: their gains hold for the block
+    fixed = {}
+    for t, (token, (objective, ck)) in enumerate(zip(cfg.schemes, schemes)):
         if objective is None:
-            w = oracles.closed_form(token, hbar, gbar)
-        else:
-            w = np.tile(init_weights(r, ck).w[:, None, None],
-                        (1, len(points), count))
-            b = np.zeros((len(points), count))
-            for k in range(cfg.warmup_frames):
-                w, b, _ = _adapt(cfg, pset, k, w, b, objective, ck,
-                                 hbar, gbar, noise_power)
-        weights.append(w)
-        best.append(b)
+            hbar, gbar2 = compound[ck]
+            fixed[t] = gains(oracles.closed_form(token, hbar, gbar2), hbar,
+                             gbar2)
+    # adaptive schemes: one stack per constraint, with the positions and
+    # objectives of its schemes and (hbar, |gbar|^2) with a scheme axis;
+    # `state` holds each stack's weights (R, schemes, points, count) and
+    # stored best
+    adaptive = {}
+    for t, (objective, ck) in enumerate(schemes):
+        if objective is not None:
+            adaptive.setdefault(ck, []).append(t)
+    stacks, state = [], []
+    for ck, members in adaptive.items():
+        hbar, gbar2 = (x[:, None] for x in compound[ck])
+        stacks.append((members, tuple(schemes[t][0] for t in members), ck,
+                       hbar, gbar2))
+        w = np.tile(init_weights(r, ck).w[:, None, None, None],
+                    (1, len(members), len(points), count))
+        state.append((w, np.zeros(w.shape[1:])))
+    pset = build_perturbation_set(r, cfg.scheme)
+
+    def advance(frame_index):
+        """One `_adapt` call per stack."""
+        for i, (_, objectives, ck, hbar, gbar2) in enumerate(stacks):
+            state[i] = _adapt(cfg, pset, frame_index, *state[i], objectives,
+                              ck, hbar, gbar2, noise_power)[:2]
+
+    for k in range(cfg.warmup_frames):
+        advance(k)
 
     # shared data bits and unit-variance noise: schemes are compared on
     # identical draws, only the effective channel differs
@@ -536,19 +598,17 @@ def _ber_block(cfg, points, start, count):
 
     errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
     for f in range(n_frames):
-        for t, (token, objective, ck) in enumerate(schemes):
-            hbar, gbar = compound[ck]
-            w = weights[t]
-            a = adaptation.relay_sum(np.conj(w) * hbar)
-            sigma = np.sqrt(noise_power
-                            * (1.0 + network._noise_gain(w, gbar)))
+        frame_gains = dict(fixed)
+        for (members, *_, hbar, gbar2), (w, _) in zip(stacks, state):
+            frame_gains.update(zip(members, zip(*gains(w, hbar, gbar2))))
+        # detection stays per scheme: a y stacked over every scheme would
+        # raise the block's peak memory for little time
+        for t in range(len(schemes)):
+            a, sigma = frame_gains[t]
             y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
             det = _detect_bits(y, a)
             errors[:, t] += np.count_nonzero(det != bits[:, f, :], axis=(1, 2))
-            if objective is not None:
-                weights[t], best[t], _ = _adapt(
-                    cfg, pset, cfg.warmup_frames + f, w, best[t], objective,
-                    ck, hbar, gbar, noise_power)
+        advance(cfg.warmup_frames + f)
     return count * n_frames * n_data, points, errors
 
 

@@ -80,13 +80,16 @@ def _signal_power(w, hbar):
     return np.square(np.abs(relay_sum(np.conj(w) * hbar)))
 
 
-def _noise_gain(w, gbar):
-    """w^H Gbar Gbar^H w = sum_i |w_i|^2 |gbar_i|^2."""
-    return relay_sum(np.abs(w) ** 2 * np.abs(gbar) ** 2)
+def _noise_gain(w, gbar2):
+    """w^H Gbar Gbar^H w = sum_i |w_i|^2 |gbar_i|^2, given the
+    noise-forwarding powers gbar2 = |gbar|^2."""
+    return relay_sum(np.abs(w) ** 2 * gbar2)
 
 
-def _snr(w, hbar, gbar, noise_power):
-    return _signal_power(w, hbar) / (noise_power * (1.0 + _noise_gain(w, gbar)))
+def _snr(w, hbar, gbar2, noise_power):
+    """Destination SNR; `gbar2` is |gbar|^2, which a batched caller squares
+    once per channel rather than once per objective."""
+    return _signal_power(w, hbar) / (noise_power * (1.0 + _noise_gain(w, gbar2)))
 
 
 def objective_power(w: BeamVector, cp: CompoundParams) -> float:
@@ -98,4 +101,4 @@ def objective_snr(w: BeamVector, cp: CompoundParams, noise_power) -> float:
     """Destination SNR including the amplified relay noise."""
     if noise_power <= 0:
         raise ValueError("noise_power must be > 0")
-    return float(_snr(w.w, cp.hbar, cp.gbar, noise_power))
+    return float(_snr(w.w, cp.hbar, np.abs(cp.gbar) ** 2, noise_power))

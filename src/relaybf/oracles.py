@@ -28,14 +28,15 @@ def _psp(hbar):
     return hbar / np.sqrt(relay_sum(np.abs(hbar) ** 2))
 
 
-def _ssp(hbar, gbar):
-    raw = hbar / (1.0 + np.abs(gbar) ** 2)
+def _ssp(hbar, gbar2):
+    raw = hbar / (1.0 + gbar2)
     return raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
 
 
-def closed_form(token, hbar, gbar):
-    """Batched closed-form weights (R, ...) of a scheme token; "no-bf" is
-    the uniform split that the adaptive sum-power schemes start from."""
+def closed_form(token, hbar, gbar2):
+    """Batched closed-form weights (R, ...) of a scheme token, given hbar
+    and the noise-forwarding powers gbar2 = |gbar|^2; "no-bf" is the
+    uniform split that the adaptive sum-power schemes start from."""
     if token == "no-bf":
         w = init_weights(hbar.shape[0], ConstraintKind.SUM_POWER).w
         return np.broadcast_to(w.reshape(w.shape + (1,) * (hbar.ndim - 1)),
@@ -45,7 +46,7 @@ def closed_form(token, hbar, gbar):
     if token == "p-sp":
         return _psp(hbar)
     if token == "s-sp":
-        return _ssp(hbar, gbar)
+        return _ssp(hbar, gbar2)
     raise ValueError("no closed form for scheme %r" % token)
 
 
@@ -76,7 +77,8 @@ def ssp_weights(cp: CompoundParams, noise_power) -> BeamVector:
     """
     if not np.any(np.abs(cp.hbar) > 0):
         raise DegenerateChannelError("compound channel is identically zero")
-    return BeamVector(_ssp(cp.hbar, cp.gbar), ConstraintKind.SUM_POWER)
+    return BeamVector(_ssp(cp.hbar, np.abs(cp.gbar) ** 2),
+                      ConstraintKind.SUM_POWER)
 
 
 def nobf_weights(num_relays) -> BeamVector:
@@ -97,10 +99,11 @@ def random_search_margins(cp: CompoundParams, noise_power, num_vectors, rng,
     w_power = psp_weights(cp).w
     w_snr = ssp_weights(cp, noise_power).w
     p_best = float(_signal_power(w_power, cp.hbar))
-    s_best = float(_snr(w_snr, cp.hbar, cp.gbar, noise_power))
+    gbar2 = np.abs(cp.gbar) ** 2
+    s_best = float(_snr(w_snr, cp.hbar, gbar2, noise_power))
     p_margin = 0.0
     s_margin = 0.0
-    hbar, gbar = cp.hbar[:, None], cp.gbar[:, None]
+    hbar, gbar2 = cp.hbar[:, None], gbar2[:, None]
     remaining = int(num_vectors)
     while remaining > 0:
         n = min(chunk, remaining)
@@ -111,5 +114,5 @@ def random_search_margins(cp: CompoundParams, noise_power, num_vectors, rng,
         w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
         p_margin = max(p_margin, float(np.max(_signal_power(w, hbar))) / p_best)
         s_margin = max(s_margin,
-                       float(np.max(_snr(w, hbar, gbar, noise_power))) / s_best)
+                       float(np.max(_snr(w, hbar, gbar2, noise_power))) / s_best)
     return p_margin, s_margin

@@ -118,16 +118,17 @@ def test_criterion_02_tr_monotonicity():
                            num_frames=frames, block_size=n, seed=SEED)
     h, g = engine._draw_channels(cfg, 0, n)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
+    gbar2 = np.abs(gbar) ** 2
     pset = build_perturbation_set(3, Scheme.TR)
     w = np.tile(init_weights(3, ConstraintKind.SUM_POWER).w, (n, 1)).T
     best = np.zeros(n)
-    prev = network._snr(w, hbar, gbar, noise)
+    prev = network._snr(w, hbar, gbar2, noise)
     violations = 0
     for k in range(frames):
         w, best, _ = engine._tr_batch(w, best, k, 0.1, pset,
                                       ConstraintKind.SUM_POWER, Objective.SNR,
-                                      hbar, gbar, noise, 1.0)
-        cur = network._snr(w, hbar, gbar, noise)
+                                      hbar, gbar2, noise, 1.0)
+        cur = network._snr(w, hbar, gbar2, noise)
         violations += int(np.count_nonzero(cur < prev))
         prev = cur
     ok = violations == 0
@@ -280,7 +281,8 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
 
     def snr(v):
         idx = reg.active_indices()
-        return network._snr(v, hbar_full[idx], gbar_full[idx], noise)
+        return network._snr(v, hbar_full[idx], np.abs(gbar_full[idx]) ** 2,
+                            noise)
 
     checks = 0
     for k in range(frames):

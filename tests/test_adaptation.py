@@ -200,14 +200,15 @@ def test_tr_trajectory_is_monotone_with_unit_forgetting():
     pset = build_perturbation_set(3, Scheme.TR)
     for seed in range(20):
         hbar, gbar = _compound(np.random.default_rng(seed), noise)
+        gbar2 = np.abs(gbar) ** 2
         w, best = init_weights(3, SUM).w, 0.0
-        prev = _snr(w, hbar, gbar, noise)
+        prev = _snr(w, hbar, gbar2, noise)
         for k in range(120):
             cand = probes(Scheme.TR, w, pset.column(k), 0.1, SUM)
-            bit, best = decide(Scheme.TR, (_snr(cand[0], hbar, gbar, noise),),
+            bit, best = decide(Scheme.TR, (_snr(cand[0], hbar, gbar2, noise),),
                                best)
             w = select(w, cand, bit)
-            cur = _snr(w, hbar, gbar, noise)
+            cur = _snr(w, hbar, gbar2, noise)
             assert cur >= prev
             prev = cur
 
@@ -220,12 +221,13 @@ def test_pm_converges_toward_oracle():
     for seed in range(30):
         hbar, gbar = _compound(np.random.default_rng(100 + seed), noise)
         cp = CompoundParams(hbar, gbar)
+        gbar2 = np.abs(gbar) ** 2
         opt = objective_snr(ssp_weights(cp, noise), cp, noise)
         w = init_weights(3, SUM).w
         for k in range(60):
             cand = probes(Scheme.PM, w, pset.column(k), 0.1, SUM)
             bit, _ = decide(Scheme.PM,
-                            [_snr(c, hbar, gbar, noise) for c in cand])
+                            [_snr(c, hbar, gbar2, noise) for c in cand])
             w = select(w, cand, bit)
-        gaps.append(1.0 - _snr(w, hbar, gbar, noise) / opt)
+        gaps.append(1.0 - _snr(w, hbar, gbar2, noise) / opt)
     assert np.median(gaps) < 0.05

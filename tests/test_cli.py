@@ -79,6 +79,12 @@ _INVALID_NUMBERS = [
     ({"distances": None}, ""),
     # "unknown scheme tokens: []" named no unknown token
     ({"schemes": []}, "schemes must be a non-empty list of scheme tokens"),
+    # every |hbar|^2 underflowed: warnings, detection with NaN weights, exit 0
+    ({"snr_db_grid": [-300.0], "distances": [1e76, 1e76, 1e76]},
+     "the s-sp SNR is not finite and positive"),
+    # |w + beta*q|^2 overflowed: a warning on exit 0
+    ({"beta": 1e155, "schemes": ["pb-s-sp"]}, "beta must be in (0, 1e150]"),
+    ({"betas": [0.1, 1e151]}, "betas must be non-empty, all in (0, 1e150]"),
 ]
 
 
@@ -318,9 +324,14 @@ _SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
 @example(data={**_SMALL, "scheme": "pm", "distances": [1e100] * 3})
 # distances in range, but each relay's SNR underflows at this noise power
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [-3000.0]})
-# ... or every |hbar|^2 does, so the s-sp weights are 0/0 (with warnings)
+# ... or every |hbar|^2 does, so the s-sp weights are 0/0
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [-300.0],
                "distances": [1e76] * 3})
+# |w + beta*q|^2 overflows in the sum-power projection
+@example(data={"num_realizations": 1, "num_frames": 1, "warmup_frames": 0,
+               "num_pilots": 1, "num_data": 1, "block_size": 1,
+               "num_trajectories": 0, "scheme": "tr", "num_relays": 1,
+               "distances": [1.0], "snr_db_grid": [0.0], "beta": 1e155})
 # each relay's SNR overflows to inf: the s-sp check must not warn first
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [2547.0],
                "distances": [1e-27] * 3})
@@ -338,9 +349,10 @@ def test_any_json_config_exits_1_or_writes_finite_csvs(data):
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main([command, "--config", str(cfg), "--out", str(out)])
+            # a warning means NaN or inf arithmetic, and would print above
+            # an error line
+            assert not caught, (code, [str(w.message) for w in caught])
             if code == 1:
-                # a warning would print above the error line
-                assert not caught, [str(w.message) for w in caught]
                 assert err.getvalue().startswith("error: ")
                 assert err.getvalue().count("\n") == 1
                 assert not out.exists()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybf import engine, network
+from relaybf import engine, network, oracles
 from relaybf.adaptation import (
     BeamVector,
     ConstraintKind,
@@ -49,6 +49,7 @@ def test_config_defaults_and_coercion():
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_BETA = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
 _DISTANCE = st.floats(1.3e-77, 8e76)  # d**-4 and d**4 stay normal floats
 _COUNT = st.integers(1, 10**6)
 
@@ -60,8 +61,8 @@ def _valid_config_dicts(draw):
     frames = draw(_COUNT)
     data = {
         "scheme": draw(st.sampled_from(["tr", "pm"])),
-        "beta": draw(_POSITIVE),
-        "betas": draw(st.none() | st.lists(_POSITIVE, min_size=1, max_size=3)),
+        "beta": draw(_BETA),
+        "betas": draw(st.none() | st.lists(_BETA, min_size=1, max_size=3)),
         "snr_db_grid": draw(st.lists(st.floats(-300.0, 300.0), min_size=1,
                                      max_size=4)),
         "normalized_doppler_grid": draw(st.lists(st.floats(0.0, 1.0),
@@ -249,18 +250,19 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     hbar, gbar = network.ideal_compound(
         complex_normal(rng, (links, r)).T, complex_normal(rng, (links, r)).T,
         engine._relay_power(constraint, r), noise)
+    gbar2 = np.abs(gbar) ** 2
 
-    def step(w, best, k, hbar, gbar):
+    def step(w, best, k, hbar, gbar2):
         if scheme is Scheme.TR:
             return engine._tr_batch(w, best, k, beta, pset, constraint,
-                                    objective, hbar, gbar, noise, forgetting)
+                                    objective, hbar, gbar2, noise, forgetting)
         w, take = engine._pm_batch(w, k, beta, pset, constraint, objective,
-                                   hbar, gbar, noise)
+                                   hbar, gbar2, noise)
         return w, best, take
 
     def measure(c):
         # the public objectives are the kernel's on a single vector
-        j = engine._objective_batch(objective, c, hbar, gbar, noise)
+        j = engine._objective_batch(objective, c, hbar, gbar2, noise)
         for i in range(links):
             v, cp = BeamVector(c[:, i], constraint), CompoundParams(
                 hbar[:, i], gbar[:, i])
@@ -282,7 +284,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
         # public objectives; PM passes the stored best through
         bit, next_best = decide(scheme, j, best, forgetting)
         next_w = select(w, cand, bit)
-        w, best, take = step(w, best, k, hbar, gbar)
+        w, best, take = step(w, best, k, hbar, gbar2)
         assert np.array_equal(bit, take) and np.array_equal(next_best, best)
         assert np.array_equal(next_w, w)
         if k == 0 and scheme is Scheme.TR:
@@ -294,7 +296,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
             assert not take[np.all(cand[0] == cand[1], axis=0)].any()
         for i in range(links):
             w_i, best_i, take_i = step(*alone[i], k, hbar[:, i:i + 1],
-                                       gbar[:, i:i + 1])
+                                       gbar2[:, i:i + 1])
             alone[i] = w_i, best_i
             assert np.array_equal(w_i[:, 0], w[:, i])
             assert best_i[0] == best[i] and take_i[0] == take[i]
@@ -305,6 +307,32 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
 CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
                 num_trajectories=5, cdf_frames=[0, 10, 30], block_size=16,
                 snr_db_grid=[18.0], seed=11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 9),
+       objectives=st.lists(st.sampled_from(list(Objective)), min_size=1,
+                           max_size=4),
+       snr_db=st.lists(st.floats(-10.0, 40.0), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_objective_batch_per_scheme_matches_each_slice(r, objectives, snr_db,
+                                                       seed):
+    # one objective per entry of the scheme axis: each slice has the bits
+    # of that objective on the slice alone
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** (-np.array(snr_db)[:, None] / 10.0)  # (points, 1)
+    hbar, gbar = network.ideal_compound(
+        complex_normal(rng, (r, 2, 3)), complex_normal(rng, (r, 2, 3)), 1.0,
+        noise)
+    gbar2 = np.abs(gbar) ** 2
+    w = complex_normal(rng, (r, len(objectives), 2, 3))
+    j = engine._objective_batch(tuple(objectives), w, hbar[:, None],
+                                gbar2[:, None], noise)
+    assert j.shape == w.shape[1:]
+    for s, objective in enumerate(objectives):
+        alone = engine._objective_batch(objective, w[:, s], hbar, gbar2,
+                                        noise)
+        assert j[s].tobytes() == alone.tobytes()
 
 
 def test_convergence_shapes_and_progress():
@@ -327,6 +355,56 @@ def test_convergence_deterministic_and_worker_independent():
     np.testing.assert_array_equal(a.feedback_bits, b.feedback_bits)
     for f in (0, 10, 30):
         np.testing.assert_array_equal(a.gaps_at_frames[f], b.gaps_at_frames[f])
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(["tr", "pm"]), r=st.integers(1, 9),
+       n=st.integers(1, 12), block_size=st.integers(1, 5),
+       num_trajectories=st.integers(0, 14), frames=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
+                                                  num_trajectories, frames,
+                                                  seed, data):
+    # The blocks take every link's SNR only at cdf_frames and the recorded
+    # links' SNR at the other frames; the reference takes every link's SNR
+    # at every frame, and the trajectories, bits and gaps must keep their
+    # bits.
+    cdf_frames = data.draw(st.lists(st.integers(0, frames), max_size=3))
+    cfg = ExperimentConfig(
+        scheme=scheme, num_relays=r, distances=[1.0 + i for i in range(r)],
+        num_realizations=n, num_frames=frames, block_size=block_size,
+        num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed)
+    res = run_convergence_experiment(cfg)
+    noise = engine._noise_power(cfg.snr_db_grid[0])
+    objective, constraint = SCHEMES["pb-s-sp"]
+    pset = build_perturbation_set(r, cfg.scheme)
+    ratio, bits = [], []
+    for start, count in engine._block_ranges(cfg, n):
+        h, g = engine._draw_channels(cfg, start, count)
+        hbar, gbar = network.ideal_compound(
+            h, g, engine._relay_power(constraint, r), noise)
+        gbar2 = np.abs(gbar) ** 2
+        opt = network._snr(oracles.closed_form("s-sp", hbar, gbar2), hbar,
+                           gbar2, noise)
+        w = np.tile(init_weights(r, constraint).w[:, None], (1, count))
+        best = np.zeros(count)
+        for k in range(frames + 1):
+            ratio.append(network._snr(w, hbar, gbar2, noise) / opt)
+            if k < frames:
+                w, best, bit = engine._adapt(cfg, pset, k, w, best, objective,
+                                             constraint, hbar, gbar2, noise)
+                bits.append(bit)
+    # (realizations, frames + 1) and (realizations, frames)
+    ratio = np.vstack([np.stack(ratio[i:i + frames + 1], axis=1)
+                       for i in range(0, len(ratio), frames + 1)])
+    bits = np.vstack([np.stack(bits[i:i + frames], axis=1)
+                      for i in range(0, len(bits), frames)])
+    m = min(num_trajectories, n)
+    assert res.snr_normalized.tobytes() == ratio[:m, :frames].tobytes()
+    np.testing.assert_array_equal(res.feedback_bits, bits[:m])
+    assert sorted(res.gaps_at_frames) == sorted(set(cdf_frames))
+    for f, gaps in res.gaps_at_frames.items():
+        assert gaps.tobytes() == (1.0 - ratio[:, f]).tobytes()
 
 
 def test_convergence_rejects_wrong_setup():
@@ -423,6 +501,30 @@ def test_ber_block_carries_only_accumulating_points(monkeypatch):
     used = [row.bits // block_bits for row in res.rows[::3]]
     assert carried == [tuple(p for p, n in enumerate(used) if n > k)
                        for k in range(max(used))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(schemes=st.lists(st.sampled_from(sorted(SCHEMES)), min_size=1,
+                        unique=True),
+       scheme=st.sampled_from(["tr", "pm"]), forgetting=st.floats(0.5, 1.0),
+       r=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(schemes=["pb-egc", "pb-p-sp", "no-bf", "pb-s-sp"], scheme="tr",
+         forgetting=0.9, r=3, seed=0)
+def test_ber_scheme_stack_matches_each_scheme_alone(schemes, scheme,
+                                                    forgetting, r, seed):
+    # The adaptive schemes of one constraint advance on one weight stack;
+    # each scheme's errors must equal a block of that scheme alone.
+    cfg = ExperimentConfig(
+        scheme=scheme, forgetting_factor=forgetting, num_relays=r,
+        distances=[1.0 + 0.5 * i for i in range(r)], snr_db_grid=[0.0, 8.0],
+        schemes=schemes, num_frames=3, warmup_frames=4, num_data=8,
+        seed=seed)
+    _, _, errors = engine._ber_block(cfg, (0, 1), 2, 5)
+    assert errors.shape == (2, len(schemes))
+    for t, token in enumerate(schemes):
+        _, _, alone = engine._ber_block(replace(cfg, schemes=[token]),
+                                        (0, 1), 2, 5)
+        np.testing.assert_array_equal(errors[:, t], alone[:, 0])
 
 
 TRACK_CFG = dict(scheme="pm", snr_db_grid=[22.0],

@@ -125,7 +125,7 @@ def test_batched_kernels_match_scalar_objectives():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     hbar, gbar, w = hbar.T, gbar.T, w.T
     batch_p = network._signal_power(w, hbar)
-    batch_s = network._snr(w, hbar, gbar, 0.3)
+    batch_s = network._snr(w, hbar, np.abs(gbar) ** 2, 0.3)
     for i in range(50):
         cp = CompoundParams(hbar[:, i], gbar[:, i])
         bv = _sum_vec(w[:, i])

@@ -85,14 +85,14 @@ def test_closed_form_matches_the_per_channel_designs():
     designs = {"no-bf": lambda cp: nobf_weights(3), "egc": egc_weights,
                "p-sp": psp_weights, "s-sp": lambda cp: ssp_weights(cp, 0.1)}
     for token, design in designs.items():
-        w = closed_form(token, hbar, gbar)
+        w = closed_form(token, hbar, np.abs(gbar) ** 2)
         assert w.shape == hbar.shape
         for cp, link in zip(cps, w.T):
             np.testing.assert_array_equal(link, design(cp).w)
     np.testing.assert_array_equal(nobf_weights(3).w,
                                   init_weights(3, ConstraintKind.SUM_POWER).w)
     with pytest.raises(ValueError):
-        closed_form("pb-s-sp", hbar, gbar)
+        closed_form("pb-s-sp", hbar, np.abs(gbar) ** 2)
 
 
 def test_objective_ordering_between_designs():

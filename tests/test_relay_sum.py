@@ -63,6 +63,25 @@ def test_relay_sum_is_numpys_relay_last_sum(data, links, kind):
                           np.sum(_relay_last(x[:r]), axis=-1))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=50)
+@given(data=st.data(), links=st.lists(st.integers(1, 3), max_size=2))
+def test_sum_power_projection_divides_by_the_norm(data, links):
+    # Every vector whose norm is finite and at least ZERO_NORM is divided
+    # by its norm, bit for bit, signed zeros included, whichever branch
+    # the stack takes: the common case of every norm in range skips the
+    # fallback and overflow checks.  R = 1..64; some parts are set to
+    # signed zeros, subnormals or huge values.
+    w, fallback = (_stack(data, (64, *links), "c", st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e160, -1e160])) for _ in range(2))
+    for r in range(1, 65):
+        norm = np.sqrt(relay_sum(np.abs(w[:r]) ** 2))
+        divided = w[:r] / norm
+        projected = project(w[:r], ConstraintKind.SUM_POWER, fallback[:r])
+        ok = (ZERO_NORM <= norm) & (norm < np.inf)
+        _assert_same_bits(projected[:, ok], divided[:, ok])
+
+
 def _signal_power(w, hbar):
     return np.abs(np.sum(np.conj(w) * hbar, axis=-1)) ** 2
 
@@ -114,8 +133,9 @@ def test_kernels_match_the_relay_last_formulas(data, links, noise_power):
         signal = _signal_power(old_w, old_hbar)[0]
         gain = _noise_gain(old_w, old_gbar)[0]
         _assert_same_bits(network._signal_power(w[:r], hbar[:r]), signal)
-        _assert_same_bits(network._noise_gain(w[:r], gbar[:r]), gain)
-        _assert_same_bits(network._snr(w[:r], hbar[:r], gbar[:r], noise_power),
+        gbar2 = np.abs(gbar[:r]) ** 2
+        _assert_same_bits(network._noise_gain(w[:r], gbar2), gain)
+        _assert_same_bits(network._snr(w[:r], hbar[:r], gbar2, noise_power),
                           signal / (noise_power * (1.0 + gain)))
         for constraint, old in (
                 (ConstraintKind.SUM_POWER, _normalize_sum),
