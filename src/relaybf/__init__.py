@@ -2,23 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .adaptation import (BeamVector, ConstraintKind, PerturbationSet, Scheme,
-                         build_perturbation_set, dft_matrix, init_weights,
-                         normalize)
-from .channel import (ChannelRealization, JakesBank, PathLoss, complex_normal,
-                      sample_static_rayleigh)
+from .adaptation import (ConstraintKind, PerturbationSet, Scheme,
+                         build_perturbation_set, dft_matrix, init_weights)
+from .channel import JakesBank, PathLoss, complex_normal, sample_static_rayleigh
 from .engine import (BerResult, BerRow, ConfigError, ConvergenceResult,
                      ExperimentConfig, Objective, TrackingResult, TrackingRow,
                      run_ber_experiment, run_convergence_experiment,
                      run_tracking_experiment, snr_at_ber)
-from .estimation import (PilotBlock, estimate_compound_channel, estimate_power,
-                         estimate_snr)
 from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          RelayAgent, RelayRegistry, apply_birth, apply_death,
                          decode_message, encode_message, exclude_coordinate,
                          index_bits, insert_coordinate)
-from .network import CompoundParams, objective_power, objective_snr
-from .oracles import (DegenerateChannelError, egc_weights, nobf_weights,
-                      psp_weights, random_search_margins, ssp_weights)
+from .oracles import random_search_margins
 
 __all__ = [name for name in dir() if not name.startswith("_")]

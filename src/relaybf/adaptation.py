@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ZERO_NORM = 1e-12
-CONSTRAINT_TOL = 1e-10
 
 
 class ConstraintKind(enum.Enum):
@@ -38,37 +37,6 @@ class ConstraintKind(enum.Enum):
 class Scheme(enum.Enum):
     TR = "tr"
     PM = "pm"
-
-
-@dataclass
-class BeamVector:
-    """Weight vector tagged with the power constraint it is meant to satisfy.
-
-    Feasibility is not enforced at construction (tests build deliberately
-    infeasible vectors); `feasibility_error` measures it.
-    `degenerate` records coordinates whose phase is arbitrary because the
-    underlying channel carried no signal.
-    """
-
-    w: np.ndarray
-    constraint: ConstraintKind
-    degenerate: tuple = ()
-
-    def __post_init__(self):
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=complex))
-        if self.w.ndim != 1:
-            raise ValueError("w must be a 1-D vector")
-        if not isinstance(self.constraint, ConstraintKind):
-            raise ValueError("constraint must be a ConstraintKind")
-
-    @property
-    def num_relays(self) -> int:
-        return int(self.w.size)
-
-    def feasibility_error(self) -> float:
-        if self.constraint is ConstraintKind.SUM_POWER:
-            return abs(float(np.sum(np.abs(self.w) ** 2)) - 1.0)
-        return float(np.max(np.abs(np.abs(self.w) ** 2 - 1.0)))
 
 
 # numpy's sum adds fewer than 8 doubles one by one, starting from +0.0 (a
@@ -126,12 +94,6 @@ def project(w_raw, constraint, fallback):
     raise ValueError("unknown constraint kind")
 
 
-def normalize(w_raw, constraint, fallback: BeamVector) -> BeamVector:
-    """`project` on a single vector."""
-    w_raw = np.atleast_1d(np.asarray(w_raw, dtype=complex))
-    return BeamVector(project(w_raw, constraint, fallback.w), constraint)
-
-
 def dft_matrix(num_relays) -> np.ndarray:
     """Unitary DFT matrix Q[a, b] = exp(-2j*pi*a*b/R)/sqrt(R)."""
     a = np.arange(num_relays)
@@ -175,12 +137,12 @@ def build_perturbation_set(num_relays, scheme: Scheme) -> PerturbationSet:
     return PerturbationSet(cols)
 
 
-def init_weights(num_relays, constraint) -> BeamVector:
-    """Uniform starting point: all-ones phase, scaled to the constraint."""
+def init_weights(num_relays, constraint) -> np.ndarray:
+    """Uniform starting point (R,): all-ones phase, scaled to the constraint."""
     ones = np.ones(num_relays, dtype=complex)
     if constraint is ConstraintKind.SUM_POWER:
-        return BeamVector(ones / np.sqrt(num_relays), constraint)
-    return BeamVector(ones, constraint)
+        return ones / np.sqrt(num_relays)
+    return ones
 
 
 def probes(scheme, w, q, beta, constraint):

@@ -65,24 +65,6 @@ class PathLoss:
         return self.distances ** -1.0
 
 
-@dataclass
-class ChannelRealization:
-    """Backward (source-relay) and forward (relay-destination) coefficients."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        self.h = np.atleast_1d(np.asarray(self.h, dtype=complex))
-        self.g = np.atleast_1d(np.asarray(self.g, dtype=complex))
-        if self.h.ndim != 1 or self.h.shape != self.g.shape:
-            raise ValueError("h and g must be 1-D vectors of equal length")
-
-    @property
-    def num_relays(self) -> int:
-        return int(self.h.size)
-
-
 def _static_rayleigh(z, variances):
     """Backward and forward channels (h, g), each (R, *links), from standard
     normals `z` shaped (4, R, *links): h's real and imaginary parts, then
@@ -92,9 +74,10 @@ def _static_rayleigh(z, variances):
 
 
 def sample_static_rayleigh(rng, path_loss):
-    """Draw one i.i.d. Rayleigh realization of all backward/forward channels."""
+    """Draw one i.i.d. Rayleigh realization (h, g) of the backward and
+    forward channels, each (R,)."""
     z = rng.standard_normal((4, path_loss.num_relays))
-    return ChannelRealization(*_static_rayleigh(z, path_loss.variances))
+    return _static_rayleigh(z, path_loss.variances)
 
 
 def _oscillator_angles(num_oscillators):

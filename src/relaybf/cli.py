@@ -209,6 +209,9 @@ def _cmd_oracle_check(args) -> int:
     noise_power = engine._noise_power(cfg.snr_db_grid[0])
     h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
+    # the margins below are ratios to the closed forms' objectives, which
+    # must be finite and positive
+    engine._ssp_reference(hbar, np.abs(gbar) ** 2, noise_power)
     achieved = network._signal_power(oracles._psp(hbar), hbar)
     expected = np.sum(np.abs(hbar) ** 2, axis=0)  # ||hbar||^2
     if np.any(np.abs(achieved - expected) > 1e-9 * np.maximum(expected, 1.0)):
@@ -219,8 +222,7 @@ def _cmd_oracle_check(args) -> int:
     for i in range(cfg.num_realizations):
         rng = engine._stream(cfg.seed, i, engine._STREAM_NOISE)
         p_margin, s_margin = oracles.random_search_margins(
-            network.CompoundParams(hbar[:, i], gbar[:, i]), noise_power,
-            ORACLE_CHECK_VECTORS, rng)
+            hbar[:, i], gbar[:, i], noise_power, ORACLE_CHECK_VECTORS, rng)
         worst_power = max(worst_power, p_margin)
         worst_snr = max(worst_snr, s_margin)
     print("oracle-check: channels=%d vectors=%d max_power_margin=%.3e "

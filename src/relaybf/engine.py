@@ -428,7 +428,7 @@ def _convergence_block(cfg, start, count):
     gbar2 = np.abs(gbar) ** 2
     snr_opt = _ssp_reference(hbar, gbar2, noise_power)
     pset = build_perturbation_set(r, cfg.scheme)
-    w = np.tile(init_weights(r, constraint).w[:, None], (1, count))
+    w = np.tile(init_weights(r, constraint)[:, None], (1, count))
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
@@ -577,7 +577,7 @@ def _ber_block(cfg, points, start, count):
         hbar, gbar2 = (x[:, None] for x in compound[ck])
         stacks.append((members, tuple(schemes[t][0] for t in members), ck,
                        hbar, gbar2))
-        w = np.tile(init_weights(r, ck).w[:, None, None, None],
+        w = np.tile(init_weights(r, ck)[:, None, None, None],
                     (1, len(members), len(points), count))
         state.append((w, np.zeros(w.shape[1:])))
     pset = build_perturbation_set(r, cfg.scheme)
@@ -608,7 +608,8 @@ def _ber_block(cfg, points, start, count):
             y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
             det = _detect_bits(y, a)
             errors[:, t] += np.count_nonzero(det != bits[:, f, :], axis=(1, 2))
-        advance(cfg.warmup_frames + f)
+        if f + 1 < n_frames:  # the weights after the last frame go unread
+            advance(cfg.warmup_frames + f)
     return count * n_frames * n_data, points, errors
 
 
@@ -763,7 +764,7 @@ def _tracking_block(cfg, start, count):
 
     pset = build_perturbation_set(r, Scheme.PM)
     schemes = [SCHEMES[token] for token in cfg.schemes]
-    weights = [np.tile(init_weights(r, ck).w[:, None, None, None], (1,) + grid)
+    weights = [np.tile(init_weights(r, ck)[:, None, None, None], (1,) + grid)
                for _, ck in schemes]
     carry = [None] * len(schemes)
     whole = cfg.pm_estimation_mode == "whole"

@@ -1,14 +1,14 @@
-"""Pilot-based ML estimation of the compound channel, receive power and SNR.
+"""Pilot-based ML estimation of the compound channel and the SNR.
 
 The destination sees y[t] = hbar_c * p[t] + u[t] over a known pilot block,
 where hbar_c is the scalar compound channel under the weights active during
-that block.  The ML channel estimate is the pilot-matched correlation; power
-and SNR estimates follow from it and from the residual.
+that block.  The ML channel estimate is the pilot-matched correlation; the
+SNR estimate follows from it and from the residual.  Both work on the last
+(symbol) axis and broadcast over the leading ones; a single block is the
+batch with no leading axes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,57 +16,21 @@ SNR_MAX = 1e12
 RESIDUAL_FLOOR = 1e-30
 
 
-@dataclass
-class PilotBlock:
-    """Known pilot symbols paired with the corresponding observations."""
-
-    pilots: np.ndarray
-    observations: np.ndarray
-
-    def __post_init__(self):
-        self.pilots = np.atleast_1d(np.asarray(self.pilots, dtype=complex))
-        self.observations = np.atleast_1d(np.asarray(self.observations, dtype=complex))
-        if self.pilots.ndim != 1 or self.pilots.shape != self.observations.shape:
-            raise ValueError("pilots and observations must be 1-D and equally long")
-        if self.pilots.size < 1:
-            raise ValueError("pilot block must contain at least one symbol")
-        if float(np.sum(np.abs(self.pilots) ** 2)) <= 0:
-            raise ValueError("pilot block has zero energy")
-
-    def __len__(self):
-        return int(self.pilots.size)
-
-
 def _channel_estimate(observations, pilots):
-    """Pilot-matched estimate over the last axis; broadcasts over leading axes."""
+    """ML estimate sum(y p*)/sum(|p|^2); linear in the observations."""
     energy = np.sum(np.abs(pilots) ** 2)
     return np.sum(observations * np.conj(pilots), axis=-1) / energy
 
 
 def _snr_estimate(h_hat, observations, pilots):
-    """SNR from estimate and residual, capped when the residual vanishes."""
+    """SNR estimate |h_hat|^2 / mean residual power.
+
+    A residual sum below 1e-30 (noiseless pilots) gives the cap SNR_MAX
+    instead of dividing by zero.
+    """
     h_hat = np.asarray(h_hat)
     resid = np.sum(
         np.abs(observations - h_hat[..., None] * pilots) ** 2, axis=-1)
     safe = np.where(resid < RESIDUAL_FLOOR, 1.0, resid)
     snr = np.abs(h_hat) ** 2 / (safe / pilots.shape[-1])
     return np.where(resid < RESIDUAL_FLOOR, SNR_MAX, snr)
-
-
-def estimate_compound_channel(block: PilotBlock) -> complex:
-    """ML estimate sum(y p*)/sum(|p|^2); linear in the observations."""
-    return complex(_channel_estimate(block.observations, block.pilots))
-
-
-def estimate_power(h_hat) -> float:
-    """Receive-power estimate |h_hat|^2."""
-    return float(np.abs(h_hat) ** 2)
-
-
-def estimate_snr(h_hat, block: PilotBlock) -> float:
-    """SNR estimate |h_hat|^2 / mean residual power.
-
-    A residual sum below 1e-30 (noiseless pilots) returns the cap SNR_MAX
-    instead of dividing by zero.
-    """
-    return float(_snr_estimate(np.asarray(h_hat), block.observations, block.pilots))

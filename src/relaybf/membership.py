@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import (BeamVector, ConstraintKind, Scheme,
-                         build_perturbation_set, init_weights, normalize,
-                         probes, select)
+from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
+                         init_weights, probes, project, select)
 
 
 class ProtocolError(RuntimeError):
@@ -138,25 +137,23 @@ def decode_message(bits: str, max_relays):
     return BirthMessage(tuple(c == "1" for c in payload))
 
 
-def exclude_coordinate(bv: BeamVector, position) -> BeamVector:
-    """Drop one weight coordinate and restore feasibility.
+def exclude_coordinate(w, position, constraint):
+    """Drop one coordinate of the weights `w` (R,) and restore feasibility.
 
     Sum-power vectors are renormalized over the survivors; if the departed
     relay carried essentially all the weight, the uniform vector is the
     fallback.  Per-relay vectors stay feasible entrywise and pass through the
     same projection for bit-exact agreement between all nodes.
     """
-    if bv.num_relays < 2:
+    if w.size < 2:
         raise ProtocolError("cannot drop the only coordinate")
-    w = np.delete(bv.w, position)
-    fallback = init_weights(w.size, bv.constraint)
-    return normalize(w, bv.constraint, fallback)
+    w = np.delete(w, position)
+    return project(w, constraint, init_weights(w.size, constraint))
 
 
-def insert_coordinate(bv: BeamVector, position, value=1.0 + 0j) -> BeamVector:
+def insert_coordinate(w, position, value=1.0 + 0j):
     """Insert a newcomer's weight (per-relay joins keep incumbent weights)."""
-    w = np.insert(bv.w, position, value)
-    return BeamVector(w, bv.constraint)
+    return np.insert(w, position, value)
 
 
 class RelayAgent:
@@ -188,20 +185,19 @@ class RelayAgent:
 
     @property
     def weight_vector(self) -> np.ndarray:
-        return self.weights.w.copy()
+        return self.weights.copy()
 
     @property
     def own_weight(self) -> complex:
-        return complex(self.weights.w[self.registry.position_of(self.relay_index)])
+        return complex(self.weights[self.registry.position_of(self.relay_index)])
 
     def advance(self, feedback_bit) -> None:
         """Apply one frame's feedback bit to the local mirror: the
         destination's probes, selected by the bit instead of objectives."""
-        w = self.weights.w
+        w = self.weights
         cand = probes(self.scheme, w, self.pset.column(self.frame_index),
                       self.beta, self.constraint)
-        self.weights = BeamVector(select(w, cand, feedback_bit),
-                                  self.constraint)
+        self.weights = select(w, cand, feedback_bit)
         self.frame_index += 1
 
     def apply_message(self, msg) -> None:
@@ -209,7 +205,8 @@ class RelayAgent:
         if isinstance(msg, DeathMessage):
             position = self.registry.position_of(msg.index)
             self.registry, _ = apply_death(self.registry, msg.index)
-            self.weights = exclude_coordinate(self.weights, position)
+            self.weights = exclude_coordinate(self.weights, position,
+                                              self.constraint)
             self.pset = build_perturbation_set(self.registry.num_active, self.scheme)
             return
         if isinstance(msg, BirthMessage):

@@ -10,29 +10,9 @@ and Gbar = diag(g_i*alpha_i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .adaptation import BeamVector, relay_sum
-
-
-@dataclass
-class CompoundParams:
-    """End-to-end equivalent channel hbar and noise-forwarding gains gbar."""
-
-    hbar: np.ndarray
-    gbar: np.ndarray
-
-    def __post_init__(self):
-        self.hbar = np.atleast_1d(np.asarray(self.hbar, dtype=complex))
-        self.gbar = np.atleast_1d(np.asarray(self.gbar, dtype=complex))
-        if self.hbar.ndim != 1 or self.hbar.shape != self.gbar.shape:
-            raise ValueError("hbar and gbar must be 1-D vectors of equal length")
-
-    @property
-    def num_relays(self) -> int:
-        return int(self.hbar.size)
+from .adaptation import relay_sum
 
 
 # The chain, batched over links.  Channels, gains and weights put the relay
@@ -91,14 +71,3 @@ def _snr(w, hbar, gbar2, noise_power):
     once per channel rather than once per objective."""
     return _signal_power(w, hbar) / (noise_power * (1.0 + _noise_gain(w, gbar2)))
 
-
-def objective_power(w: BeamVector, cp: CompoundParams) -> float:
-    """Coherent receive-signal power |w^H hbar|^2."""
-    return float(_signal_power(w.w, cp.hbar))
-
-
-def objective_snr(w: BeamVector, cp: CompoundParams, noise_power) -> float:
-    """Destination SNR including the amplified relay noise."""
-    if noise_power <= 0:
-        raise ValueError("noise_power must be > 0")
-    return float(_snr(w.w, cp.hbar, np.abs(cp.gbar) ** 2, noise_power))

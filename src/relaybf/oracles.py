@@ -10,25 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptation import BeamVector, ConstraintKind, init_weights, relay_sum
-from .network import CompoundParams, _signal_power, _snr
-
-
-class DegenerateChannelError(ValueError):
-    """The compound channel is identically zero; no direction is preferred."""
+from .adaptation import ConstraintKind, init_weights, relay_sum
+from .network import _signal_power, _snr
 
 
 def _egc(hbar):
+    """Per-relay phase alignment hbar_i/|hbar_i|; weight 1 where hbar_i = 0,
+    whose phase is immaterial."""
     mag = np.abs(hbar)
     safe = np.where(mag == 0, 1.0, mag)
     return np.where(mag == 0, 1.0 + 0j, hbar / safe)
 
 
 def _psp(hbar):
+    """Receive-power maximizer under the sum constraint, hbar/||hbar||."""
     return hbar / np.sqrt(relay_sum(np.abs(hbar) ** 2))
 
 
 def _ssp(hbar, gbar2):
+    """SNR maximizer under the sum constraint.  The noise-forwarding matrix
+    is diagonal, so w_i is proportional to hbar_i/(1 + |gbar_i|^2),
+    whatever the noise level."""
     raw = hbar / (1.0 + gbar2)
     return raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
 
@@ -38,7 +40,7 @@ def closed_form(token, hbar, gbar2):
     and the noise-forwarding powers gbar2 = |gbar|^2; "no-bf" is the
     uniform split that the adaptive sum-power schemes start from."""
     if token == "no-bf":
-        w = init_weights(hbar.shape[0], ConstraintKind.SUM_POWER).w
+        w = init_weights(hbar.shape[0], ConstraintKind.SUM_POWER)
         return np.broadcast_to(w.reshape(w.shape + (1,) * (hbar.ndim - 1)),
                                hbar.shape)
     if token == "egc":
@@ -50,67 +52,30 @@ def closed_form(token, hbar, gbar2):
     raise ValueError("no closed form for scheme %r" % token)
 
 
-def egc_weights(cp: CompoundParams) -> BeamVector:
-    """Per-relay phase alignment: w_i = hbar_i/|hbar_i|.
-
-    Coordinates with a zero channel get weight 1 (the phase is immaterial
-    there) and are flagged on the returned vector.
-    """
-    degenerate = tuple(int(i) for i in np.flatnonzero(np.abs(cp.hbar) == 0))
-    return BeamVector(_egc(cp.hbar), ConstraintKind.PER_RELAY, degenerate)
-
-
-def psp_weights(cp: CompoundParams) -> BeamVector:
-    """Receive-power maximizer under the sum constraint: w = hbar/||hbar||."""
-    if not np.any(np.abs(cp.hbar) > 0):
-        raise DegenerateChannelError("compound channel is identically zero")
-    return BeamVector(_psp(cp.hbar), ConstraintKind.SUM_POWER)
-
-
-def ssp_weights(cp: CompoundParams, noise_power) -> BeamVector:
-    """SNR maximizer under the sum constraint.
-
-    Because the noise-forwarding matrix is diagonal this reduces to
-    w_i proportional to hbar_i/(1 + |gbar_i|^2), renormalized.  The maximizer
-    does not depend on the noise level; `noise_power` is accepted for
-    interface symmetry with the SNR objective.
-    """
-    if not np.any(np.abs(cp.hbar) > 0):
-        raise DegenerateChannelError("compound channel is identically zero")
-    return BeamVector(_ssp(cp.hbar, np.abs(cp.gbar) ** 2),
-                      ConstraintKind.SUM_POWER)
-
-
-def nobf_weights(num_relays) -> BeamVector:
-    """No beamforming: uniform power split, no phase alignment."""
-    if num_relays < 1:
-        raise ValueError("num_relays must be >= 1")
-    return init_weights(num_relays, ConstraintKind.SUM_POWER)
-
-
-def random_search_margins(cp: CompoundParams, noise_power, num_vectors, rng,
+def random_search_margins(hbar, gbar, noise_power, num_vectors, rng,
                           chunk=20000):
-    """Best objective ratio found by random unit-norm probing.
+    """Best objective ratio found by random unit-norm probing of one
+    compound channel (hbar, gbar), each (R,).
 
     Returns (power_margin, snr_margin): the maximum of J(w_random)/J(w_closed)
     for the power and SNR objectives.  Values above 1 + 1e-9 would mean the
-    closed forms are not actually optimal.
+    closed forms are not actually optimal.  The channel must not be
+    identically zero.
     """
-    w_power = psp_weights(cp).w
-    w_snr = ssp_weights(cp, noise_power).w
-    p_best = float(_signal_power(w_power, cp.hbar))
-    gbar2 = np.abs(cp.gbar) ** 2
-    s_best = float(_snr(w_snr, cp.hbar, gbar2, noise_power))
+    gbar2 = np.abs(gbar) ** 2
+    p_best = float(_signal_power(_psp(hbar), hbar))
+    s_best = float(_snr(_ssp(hbar, gbar2), hbar, gbar2, noise_power))
     p_margin = 0.0
     s_margin = 0.0
-    hbar, gbar2 = cp.hbar[:, None], gbar2[:, None]
+    r = hbar.shape[0]
+    hbar, gbar2 = hbar[:, None], gbar2[:, None]
     remaining = int(num_vectors)
     while remaining > 0:
         n = min(chunk, remaining)
         remaining -= n
         # drawn vector by vector, then viewed relay-first
-        raw = (rng.standard_normal((n, cp.num_relays))
-               + 1j * rng.standard_normal((n, cp.num_relays))).T
+        raw = (rng.standard_normal((n, r))
+               + 1j * rng.standard_normal((n, r))).T
         w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
         p_margin = max(p_margin, float(np.max(_signal_power(w, hbar))) / p_best)
         s_margin = max(s_margin,

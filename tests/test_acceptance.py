@@ -14,14 +14,13 @@ from scipy.special import j0
 
 from relaybf import engine, estimation, network, oracles
 from relaybf.adaptation import (
-    BeamVector,
     ConstraintKind,
     Scheme,
     build_perturbation_set,
     decide,
     init_weights,
-    normalize,
     probes,
+    project,
     select,
 )
 from relaybf.channel import (
@@ -51,7 +50,6 @@ from relaybf.membership import (
     exclude_coordinate,
     insert_coordinate,
 )
-from relaybf.network import CompoundParams
 
 SEED = 20
 SNR_DB = 18.0
@@ -120,7 +118,7 @@ def test_criterion_02_tr_monotonicity():
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
     gbar2 = np.abs(gbar) ** 2
     pset = build_perturbation_set(3, Scheme.TR)
-    w = np.tile(init_weights(3, ConstraintKind.SUM_POWER).w, (n, 1)).T
+    w = np.tile(init_weights(3, ConstraintKind.SUM_POWER), (n, 1)).T
     best = np.zeros(n)
     prev = network._snr(w, hbar, gbar2, noise)
     violations = 0
@@ -144,16 +142,17 @@ def test_criterion_03_oracles_beat_random_search():
     pl = PathLoss(DISTANCES)
     worst_power = worst_snr = worst_psp_dev = 0.0
     for i in range(1000):
-        chan = sample_static_rayleigh(
+        h, g = sample_static_rayleigh(
             engine._stream(SEED, i, engine._STREAM_CHANNEL), pl)
-        cp = CompoundParams(*network.ideal_compound(chan.h, chan.g, 1.0,
-                                                    noise))
-        achieved = network.objective_power(oracles.psp_weights(cp), cp)
-        closed = float(np.sum(np.abs(cp.hbar) ** 2))
+        hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
+        achieved = float(network._signal_power(
+            oracles.closed_form("p-sp", hbar, np.abs(gbar) ** 2), hbar))
+        closed = float(np.sum(np.abs(hbar) ** 2))
         worst_psp_dev = max(worst_psp_dev,
                             abs(achieved - closed) / max(closed, 1.0))
         p_m, s_m = oracles.random_search_margins(
-            cp, noise, 100_000, engine._stream(SEED, i, engine._STREAM_NOISE))
+            hbar, gbar, noise, 100_000,
+            engine._stream(SEED, i, engine._STREAM_NOISE))
         worst_power = max(worst_power, p_m)
         worst_snr = max(worst_snr, s_m)
     ok = worst_snr <= 1.0 and worst_power <= 1.0 and worst_psp_dev <= 1e-9
@@ -204,21 +203,21 @@ def test_criterion_06_high_snr_ordering(ber_result):
 def test_criterion_07_estimator_variance():
     rng = np.random.default_rng(SEED)
     noise = 10.0 ** (-SNR_DB / 10.0)
-    chan = sample_static_rayleigh(rng, PathLoss(DISTANCES))
-    alphas = network.relay_gains(1.0, np.abs(chan.h) ** 2 + noise)
-    cp = CompoundParams(*network.compound(chan.h, chan.g, alphas))
-    w = normalize(complex_normal(rng, 3), ConstraintKind.SUM_POWER,
-                  init_weights(3, ConstraintKind.SUM_POWER))
-    a = complex(np.vdot(w.w, cp.hbar))
+    h, g = sample_static_rayleigh(rng, PathLoss(DISTANCES))
+    alphas = network.relay_gains(1.0, np.abs(h) ** 2 + noise)
+    hbar, gbar = network.compound(h, g, alphas)
+    w = project(complex_normal(rng, 3), ConstraintKind.SUM_POWER,
+                init_weights(3, ConstraintKind.SUM_POWER))
+    a = complex(np.vdot(w, hbar))
     trials, lp = 100_000, 10
     pilots = np.ones(lp, dtype=complex)
     n = complex_normal(rng, (trials, lp, 3), noise)
     v = complex_normal(rng, (trials, lp), noise)
-    x = chan.h * pilots[None, :, None] + n
-    y = np.sum(chan.g * np.conj(w.w) * alphas * x, axis=2) + v
+    x = h * pilots[None, :, None] + n
+    y = np.sum(g * np.conj(w) * alphas * x, axis=2) + v
     h_hat = estimation._channel_estimate(y, pilots)
     var = float(np.mean(np.abs(h_hat - a) ** 2))
-    noise_gain = float(np.sum(np.abs(w.w) ** 2 * np.abs(cp.gbar) ** 2))
+    noise_gain = float(np.sum(np.abs(w) ** 2 * np.abs(gbar) ** 2))
     predicted = noise * (1.0 + noise_gain) / lp
     rel = abs(var - predicted) / predicted
     ok = rel <= 0.05
@@ -268,15 +267,15 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
     rmax = 4
     rng = np.random.default_rng(SEED)
     noise = 10.0 ** (-SNR_DB / 10.0)
-    chan = sample_static_rayleigh(rng, PathLoss([1.0, 2.0, 3.0, 4.0]))
-    hbar_full, gbar_full = network.ideal_compound(chan.h, chan.g, 1.0, noise)
+    h, g = sample_static_rayleigh(rng, PathLoss([1.0, 2.0, 3.0, 4.0]))
+    hbar_full, gbar_full = network.ideal_compound(h, g, 1.0, noise)
 
     registry = RelayRegistry.full(rmax)
     agents = [RelayAgent(i, registry, scheme, constraint, 0.1)
               for i in range(rmax)]
     reg = registry.copy()
     # the destination: working vector, TR's stored best, frame clock
-    w, best, frame = init_weights(rmax, constraint).w, 0.0, 0
+    w, best, frame = init_weights(rmax, constraint), 0.0, 0
     pset = build_perturbation_set(rmax, scheme)
 
     def snr(v):
@@ -290,16 +289,16 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
             if k == death_at:
                 pos = reg.position_of(1)
                 reg, msg = apply_death(reg, 1)
-                w = exclude_coordinate(BeamVector(w, constraint), pos).w
+                w = exclude_coordinate(w, pos, constraint)
                 best = snr(w)  # TR restarts its benchmark; PM has none
             else:
                 reg, msg = apply_birth(reg, 1)
                 if constraint is ConstraintKind.SUM_POWER:
-                    w = init_weights(reg.num_active, constraint).w
+                    w = init_weights(reg.num_active, constraint)
                     best, frame = 0.0, 0
                 else:
                     pos = reg.position_of(1)
-                    w = insert_coordinate(BeamVector(w, constraint), pos).w
+                    w = insert_coordinate(w, pos)
             pset = build_perturbation_set(reg.num_active, scheme)
             wire = encode_message(msg, rmax)
             for agent in agents:

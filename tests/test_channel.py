@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from relaybf.channel import (JakesBank, PathLoss, ChannelRealization,
-                             complex_normal, sample_static_rayleigh)
+from relaybf.channel import (JakesBank, PathLoss, complex_normal,
+                             sample_static_rayleigh)
 
 
 def test_complex_normal_moments():
@@ -49,19 +49,12 @@ def test_path_loss_rejects_bad_distances(bad):
         PathLoss(bad)
 
 
-def test_channel_realization_shape_checks():
-    with pytest.raises(ValueError):
-        ChannelRealization([1.0, 2.0], [1.0])
-    chan = ChannelRealization([1.0 + 1j], [2.0])
-    assert chan.num_relays == 1
-
-
 def test_static_rayleigh_statistics():
     pl = PathLoss([1.0, 3.0, 5.0])
     # one draw over 200000 copies of the three relays
-    chan = sample_static_rayleigh(np.random.default_rng(2),
+    h, g = sample_static_rayleigh(np.random.default_rng(2),
                                   PathLoss(np.tile(pl.distances, 200_000)))
-    h, g = chan.h.reshape(-1, 3), chan.g.reshape(-1, 3)
+    h, g = h.reshape(-1, 3), g.reshape(-1, 3)
     np.testing.assert_allclose(np.mean(np.abs(h) ** 2, axis=0), pl.variances,
                                rtol=0.03)
     np.testing.assert_allclose(np.mean(np.abs(g) ** 2, axis=0), pl.variances,
@@ -73,13 +66,12 @@ def test_static_rayleigh_statistics():
 
 def test_static_rayleigh_single_draw_shape():
     pl = PathLoss([1.0, 2.0])
-    chan = sample_static_rayleigh(np.random.default_rng(3), pl)
-    assert chan.h.shape == (2,) and chan.g.shape == (2,)
+    h, g = sample_static_rayleigh(np.random.default_rng(3), pl)
+    assert h.shape == (2,) and g.shape == (2,)
     # the bits of drawing h, then g, with complex_normal
     rng = np.random.default_rng(3)
-    h = complex_normal(rng, 2, pl.variances)
-    g = complex_normal(rng, 2, pl.variances)
-    assert chan.h.tobytes() == h.tobytes() and chan.g.tobytes() == g.tobytes()
+    assert h.tobytes() == complex_normal(rng, 2, pl.variances).tobytes()
+    assert g.tobytes() == complex_normal(rng, 2, pl.variances).tobytes()
 
 
 def test_jakes_bank_validation():

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaybf import engine, network, oracles
+from relaybf import engine, estimation, network, oracles
 from relaybf.adaptation import (
-    BeamVector,
     ConstraintKind,
     Scheme,
     build_perturbation_set,
@@ -34,10 +33,7 @@ from relaybf.engine import (
     run_tracking_experiment,
     snr_at_ber,
 )
-from relaybf.estimation import (PilotBlock, estimate_compound_channel,
-                                estimate_snr)
 from relaybf.membership import RelayAgent, RelayRegistry
-from relaybf.network import CompoundParams, objective_power, objective_snr
 
 
 def test_config_defaults_and_coercion():
@@ -261,18 +257,18 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
         return w, best, take
 
     def measure(c):
-        # the public objectives are the kernel's on a single vector
+        # the objectives of the stack are those of each link alone, a
+        # single vector (R,) whose relay sum is a numpy scalar
         j = engine._objective_batch(objective, c, hbar, gbar2, noise)
         for i in range(links):
-            v, cp = BeamVector(c[:, i], constraint), CompoundParams(
-                hbar[:, i], gbar[:, i])
-            assert j[i] == (objective_power(v, cp)
+            assert j[i] == (network._signal_power(c[:, i], hbar[:, i])
                             if objective is Objective.POWER
-                            else objective_snr(v, cp, noise))
+                            else network._snr(c[:, i], hbar[:, i],
+                                              gbar2[:, i], noise))
         return j
 
     pset = build_perturbation_set(r, scheme)
-    start = init_weights(r, constraint).w[:, None]
+    start = init_weights(r, constraint)[:, None]
     w, best = np.tile(start, (1, links)), np.zeros(links)
     alone = [(start, np.zeros(1))] * links
     agents = [RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
@@ -386,7 +382,7 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         gbar2 = np.abs(gbar) ** 2
         opt = network._snr(oracles.closed_form("s-sp", hbar, gbar2), hbar,
                            gbar2, noise)
-        w = np.tile(init_weights(r, constraint).w[:, None], (1, count))
+        w = np.tile(init_weights(r, constraint)[:, None], (1, count))
         best = np.zeros(count)
         for k in range(frames + 1):
             ratio.append(network._snr(w, hbar, gbar2, noise) / opt)
@@ -501,6 +497,24 @@ def test_ber_block_carries_only_accumulating_points(monkeypatch):
     used = [row.bits // block_bits for row in res.rows[::3]]
     assert carried == [tuple(p for p, n in enumerate(used) if n > k)
                        for k in range(max(used))]
+
+
+def test_ber_block_adapts_only_before_frames_it_detects(monkeypatch):
+    # one step per warm-up frame and one between data frames, per weight
+    # stack: the weights after the last data frame are never read
+    calls = []
+    pm_batch = engine._pm_batch
+
+    def counting_pm_batch(*args):
+        calls.append(1)
+        return pm_batch(*args)
+
+    monkeypatch.setattr(engine, "_pm_batch", counting_pm_batch)
+    cfg = ExperimentConfig(**{**BER_CFG,
+                              "schemes": ["no-bf", "pb-egc", "pb-s-sp"]})
+    run_ber_experiment(cfg)
+    blocks, stacks = 48 // 16, 2  # per-relay pb-egc, sum-power pb-s-sp
+    assert len(calls) == blocks * stacks * (60 + 5 - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -681,7 +695,7 @@ def test_realistic_pm_detection_uses_previous_winner():
     rng = np.random.default_rng(8)
     bank = JakesBank.draw(rng, (1, 4), 0.01, 1.0)
     pset = build_perturbation_set(2, Scheme.PM)
-    w = init_weights(2, SUM).w
+    w = init_weights(2, SUM)
     ws, carry = w[:, None], None
     for f in range(6):
         gx, v, measured = _frame_inputs(bank, f, rng, 1e-3)
@@ -691,12 +705,13 @@ def test_realistic_pm_detection_uses_previous_winner():
         # the same frame through one link's candidates and the estimators
         alpha = np.sqrt(1.0 / measured[0])
         cand = probes(Scheme.PM, w, pset.column(f), 0.1, SUM)
-        blocks = [PilotBlock(np.ones(5), np.sum(
-            gx[i][0] * (np.conj(c) * alpha)[None, :], axis=-1) + v[i][0])
-            for i, c in enumerate(cand)]
-        halves = [estimate_compound_channel(b) for b in blocks]
-        won = int(estimate_snr(halves[1], blocks[1])
-                  > estimate_snr(halves[0], blocks[0]))
+        pilots = np.ones(5, dtype=complex)
+        y = [np.sum(gx[i][0] * (np.conj(c) * alpha)[None, :], axis=-1)
+             + v[i][0] for i, c in enumerate(cand)]
+        halves = [estimation._channel_estimate(yy, pilots) for yy in y]
+        snr = [estimation._snr_estimate(hh, yy, pilots)
+               for hh, yy in zip(halves, y)]
+        won = int(snr[1] > snr[0])
         w = cand[won]
         np.testing.assert_array_equal(ws[:, 0], w)
         assert winner[0] == pytest.approx(halves[won], rel=1e-12)
@@ -716,9 +731,9 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     w0 = init_weights(2, SUM)
     # column 1 is not aligned with w0, so the two halves differ
     _, winner, h_data, _ = engine._pm_track_frame(
-        w0.w[:, None], np.array([7.0 + 0j]), 0.1, pset.column(1),
+        w0[:, None], np.array([7.0 + 0j]), 0.1, pset.column(1),
         Objective.POWER, SUM, gx, v, measured, True)
-    plus, minus = probes(Scheme.PM, w0.w, pset.column(1), 0.1, SUM)
+    plus, minus = probes(Scheme.PM, w0, pset.column(1), 0.1, SUM)
     a = lambda c: np.sum(np.conj(c) * g * h / np.abs(h))
     assert a(plus) != pytest.approx(a(minus), rel=1e-3)
     assert h_data[0] == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)
@@ -760,11 +775,11 @@ def test_draw_channels_match_the_scalar_draws(r, seed, start, count,
     assert h.shape == g.shape == (r, count)
     assert h.flags.c_contiguous and g.flags.c_contiguous
     for j in range(count):
-        chan = sample_static_rayleigh(
+        h_j, g_j = sample_static_rayleigh(
             engine._stream(seed, start + j, engine._STREAM_CHANNEL),
             PathLoss(distances))
-        assert h[:, j].tobytes() == chan.h.tobytes()
-        assert g[:, j].tobytes() == chan.g.tobytes()
+        assert h[:, j].tobytes() == h_j.tobytes()
+        assert g[:, j].tobytes() == g_j.tobytes()
 
 
 def test_tracking_frame_noise_matches_the_per_realization_draws():

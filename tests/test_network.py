@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from relaybf.adaptation import BeamVector, ConstraintKind
 from relaybf.channel import PathLoss, complex_normal, sample_static_rayleigh
-from relaybf.network import (CompoundParams, combine, compound, ideal_compound,
-                             objective_power, objective_snr, relay_gains,
+from relaybf.network import (combine, compound, ideal_compound, relay_gains,
                              relay_receive)
 from relaybf import network
-
-
-def _sum_vec(w):
-    return BeamVector(w, ConstraintKind.SUM_POWER)
 
 
 def test_relay_gain_ideal_value():
@@ -53,14 +47,14 @@ def test_compound_values():
 def test_noiseless_chain_equals_compound_model():
     # source power 2, relay power 1.5, no noise
     rng = np.random.default_rng(0)
-    chan = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
-    h = np.sqrt(2.0) * chan.h
+    h, g = sample_static_rayleigh(rng, PathLoss([1.0, 3.0, 5.0]))
+    h = np.sqrt(2.0) * h
     alphas = relay_gains(1.5, np.abs(h) ** 2)
-    hbar, _ = compound(h, chan.g, alphas)
+    hbar, _ = compound(h, g, alphas)
     w = np.array([0.6, 0.8j, 0.0])
     symbols = np.array([1.0, -1.0, 1.0j, 0.5 - 0.5j])
     x, _ = relay_receive(h, symbols, np.zeros((symbols.size, 3)))
-    y = combine(chan.g * x, w, alphas, np.zeros(symbols.size))
+    y = combine(g * x, w, alphas, np.zeros(symbols.size))
     np.testing.assert_allclose(y, np.vdot(w, hbar) * symbols, rtol=1e-12)
 
 
@@ -99,25 +93,20 @@ def test_noise_statistics_of_received_symbols():
 
 
 def test_objective_power_and_snr_values():
-    cp = CompoundParams([1.0, 1.0j], [1.0, -1.0])
-    w = _sum_vec(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert objective_power(w, cp) == pytest.approx(1.0, rel=1e-12)
-    assert objective_snr(w, cp, 0.5) == pytest.approx(1.0, rel=1e-12)
-    peak = _sum_vec(np.array([1.0, 0.0]))
-    assert objective_power(peak, cp) == pytest.approx(1.0, rel=1e-12)
-    assert objective_snr(peak, cp, 0.5) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_objective_snr_requires_positive_noise():
-    cp = CompoundParams([1.0], [1.0])
-    w = _sum_vec(np.array([1.0]))
-    with pytest.raises(ValueError):
-        objective_snr(w, cp, 0.0)
+    hbar, gbar2 = np.array([1.0, 1.0j]), np.abs(np.array([1.0, -1.0])) ** 2
+    w = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    assert network._signal_power(w, hbar) == pytest.approx(1.0, rel=1e-12)
+    assert network._snr(w, hbar, gbar2, 0.5) == pytest.approx(1.0, rel=1e-12)
+    peak = np.array([1.0, 0.0], dtype=complex)
+    assert network._signal_power(peak, hbar) == pytest.approx(1.0, rel=1e-12)
+    assert network._snr(peak, hbar, gbar2, 0.5) \
+        == pytest.approx(1.0, rel=1e-12)
 
 
 def test_batched_kernels_match_scalar_objectives():
-    # the scalar objectives are the batched ones on a single vector, so they
-    # agree bit for bit; 50 links of 4 relays, stacked relay-first
+    # a batch and each of its links alone, a single vector (R,) whose relay
+    # sum is a numpy scalar, agree bit for bit; 50 links of 4 relays,
+    # stacked relay-first
     rng = np.random.default_rng(3)
     hbar = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     gbar = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
@@ -125,9 +114,9 @@ def test_batched_kernels_match_scalar_objectives():
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     hbar, gbar, w = hbar.T, gbar.T, w.T
     batch_p = network._signal_power(w, hbar)
-    batch_s = network._snr(w, hbar, np.abs(gbar) ** 2, 0.3)
+    gbar2 = np.abs(gbar) ** 2
+    batch_s = network._snr(w, hbar, gbar2, 0.3)
     for i in range(50):
-        cp = CompoundParams(hbar[:, i], gbar[:, i])
-        bv = _sum_vec(w[:, i])
-        assert batch_p[i] == objective_power(bv, cp)
-        assert batch_s[i] == objective_snr(bv, cp, 0.3)
+        assert batch_p[i] == network._signal_power(w[:, i], hbar[:, i])
+        assert batch_s[i] == network._snr(w[:, i], hbar[:, i], gbar2[:, i],
+                                          0.3)
