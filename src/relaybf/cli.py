@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, engine, network, oracles
-from .engine import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 ORACLE_CHECK_VECTORS = 20000
 ORACLE_CHECK_SLACK = 1e-9
@@ -206,7 +206,7 @@ def _cmd_tracking(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    noise_power = engine._noise_power(cfg.snr_db_grid[0])
+    noise_power = cfg.single_noise_power("oracle-check")
     h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
     # the margins below are ratios to the closed forms' objectives, which

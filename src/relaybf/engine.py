@@ -1,4 +1,5 @@
-"""Batched frame kernels and the three experiment families.
+"""Batched frame kernels, block draws and scheduling, and the runners of
+the three experiment families (their description lives in `config`).
 
 A frame is a training interval (pilot symbols sent under perturbed weights)
 followed by a data interval sent under the current working vector.
@@ -16,235 +17,21 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
-import enum
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adaptation, channel, estimation, network, oracles
+from . import adaptation, channel, config, estimation, network, oracles
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
                          init_weights)
 from .channel import JakesBank, PathLoss
+from .config import (DEFAULT_BER_SCHEMES, DEFAULT_TRACKING_SCHEMES, SCHEMES,
+                     ConfigError, ExperimentConfig, Objective)
 
 _STREAM_CHANNEL = 0
 _STREAM_NOISE = 1
-
-
-class ConfigError(ValueError):
-    """An experiment description that fails validation."""
-
-
-class Objective(enum.Enum):
-    POWER = "power"
-    SNR = "snr"
-
-
-# BER/tracking scheme token -> (adaptation objective, or None for
-# closed-form weights; constraint)
-SCHEMES = {
-    "no-bf": (None, ConstraintKind.SUM_POWER),
-    "egc": (None, ConstraintKind.PER_RELAY),
-    "p-sp": (None, ConstraintKind.SUM_POWER),
-    "s-sp": (None, ConstraintKind.SUM_POWER),
-    "pb-egc": (Objective.POWER, ConstraintKind.PER_RELAY),
-    "pb-p-sp": (Objective.POWER, ConstraintKind.SUM_POWER),
-    "pb-s-sp": (Objective.SNR, ConstraintKind.SUM_POWER),
-}
-DEFAULT_BER_SCHEMES = ["no-bf", "egc", "p-sp", "s-sp", "pb-p-sp", "pb-s-sp"]
-DEFAULT_TRACKING_SCHEMES = ["pb-s-sp"]
-
-_DEFAULT_CDF_FRAMES = (10, 20, 40, 70, 100)
-_MAX_BETA = 1e150
-
-
-def _default_gap_thresholds():
-    grid = np.geomspace(1e-4, 1.0, 61)
-    return sorted(set(float(t) for t in grid) | {0.043})
-
-
-def _as_real(value, name):
-    """A finite real number, returned as given (bools are rejected)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError("%s must be a number, got %r" % (name, value))
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
-        raise ConfigError("%s must be finite, got %r" % (name, value))
-    return value
-
-
-def _as_int(value, name):
-    """An integer; integral floats are converted, bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not (isinstance(value, numbers.Integral)
-                    or float(value).is_integer()):
-        raise ConfigError("%s must be an integer, got %r" % (name, value))
-    return int(value)
-
-
-def _as_list(value, name, item):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError("%s must be a list, got %r" % (name, value))
-    return [item(v, name + " entry") for v in value]
-
-
-_INT_FIELDS = ("num_relays", "num_realizations", "num_frames",
-               "warmup_frames", "seed", "num_pilots", "num_data",
-               "error_target", "min_bits", "bits_cap", "block_size",
-               "num_trajectories")
-_REAL_FIELDS = ("beta", "forgetting_factor")
-# list fields -> entry check
-_LIST_FIELDS = {"betas": _as_real, "snr_db_grid": _as_real,
-                "normalized_doppler_grid": _as_real, "distances": _as_real,
-                "cdf_frames": _as_int, "gap_thresholds": _as_real}
-# list fields whose None stands for a default derived from other keys
-_DERIVED_LISTS = ("betas", "cdf_frames", "gap_thresholds")
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative experiment description; see README for the JSON schema."""
-
-    scheme: Scheme = Scheme.TR
-    beta: float = 0.1
-    betas: list = None
-    snr_db_grid: list = field(default_factory=lambda: [18.0])
-    normalized_doppler_grid: list = field(
-        default_factory=lambda: [0.001, 0.003, 0.01, 0.03, 0.1])
-    num_relays: int = 3
-    distances: list = field(default_factory=lambda: [1.0, 3.0, 5.0])
-    num_realizations: int = 1000
-    num_frames: int = 100
-    warmup_frames: int = 300
-    seed: int = 0
-    forgetting_factor: float = 1.0
-    pm_estimation_mode: str = "split"
-    num_pilots: int = 10
-    num_data: int = 40
-    schemes: list = None
-    error_target: int = 100
-    min_bits: int = 0
-    bits_cap: int = 10_000_000
-    block_size: int = 256
-    cdf_frames: list = None
-    gap_thresholds: list = None
-    num_trajectories: int = 16
-
-    def __post_init__(self):
-        try:
-            self.scheme = Scheme(self.scheme)
-        except ValueError:
-            raise ConfigError("invalid scheme: %r" % (self.scheme,)) from None
-        for name in _INT_FIELDS:
-            setattr(self, name, _as_int(getattr(self, name), name))
-        for name in _REAL_FIELDS:
-            setattr(self, name, _as_real(getattr(self, name), name))
-        for name, item in _LIST_FIELDS.items():
-            value = getattr(self, name)
-            if value is not None or name not in _DERIVED_LISTS:
-                setattr(self, name, _as_list(value, name, item))
-        if self.betas is None:
-            self.betas = [self.beta]
-        if self.cdf_frames is None:
-            self.cdf_frames = [f for f in _DEFAULT_CDF_FRAMES if f <= self.num_frames]
-        if self.gap_thresholds is None:
-            self.gap_thresholds = _default_gap_thresholds()
-        self.validate()
-
-    def validate(self):
-        # a larger step overflows |w + beta*q|^2 in the projection
-        if not 0 < self.beta <= _MAX_BETA:
-            raise ConfigError("beta must be in (0, 1e150]")
-        if not self.betas or any(not 0 < b <= _MAX_BETA for b in self.betas):
-            raise ConfigError("betas must be non-empty, all in (0, 1e150]")
-        if not self.snr_db_grid:
-            raise ConfigError("snr_db_grid must be non-empty")
-        for snr_db in self.snr_db_grid:
-            if not 0 < _noise_power(snr_db) < math.inf:
-                raise ConfigError("snr_db_grid entry %r gives a noise power "
-                                  "that is not finite and positive" % snr_db)
-        if not self.normalized_doppler_grid \
-                or any(d < 0 for d in self.normalized_doppler_grid):
-            raise ConfigError("normalized_doppler_grid must be non-empty, all >= 0")
-        if self.num_relays < 1:
-            raise ConfigError("num_relays must be >= 1")
-        if len(self.distances) != self.num_relays \
-                or any(d <= 0 for d in self.distances):
-            raise ConfigError("distances must list one positive value per relay")
-        # a relay's mean |h*g|^2, d**-4, and its inverse must be normal floats
-        if any(abs(math.log(d)) > -math.log(np.finfo(float).tiny) / 4
-               for d in self.distances):
-            raise ConfigError("distances must lie in [1.2e-77, 8.1e76]")
-        if self.num_realizations < 1 or self.num_frames < 1:
-            raise ConfigError("num_realizations and num_frames must be >= 1")
-        if self.warmup_frames < 0:
-            raise ConfigError("warmup_frames must be >= 0")
-        if not 0 < self.forgetting_factor <= 1:
-            raise ConfigError("forgetting_factor must be in (0, 1]")
-        if self.pm_estimation_mode not in ("split", "whole"):
-            raise ConfigError("pm_estimation_mode must be 'split' or 'whole'")
-        if self.num_pilots < 1 or self.num_data < 1:
-            raise ConfigError("num_pilots and num_data must be >= 1")
-        if self.scheme is Scheme.PM and (self.num_pilots < 2 or self.num_pilots % 2):
-            raise ConfigError("PM needs an even pilot count >= 2")
-        if self.schemes is not None:
-            if not isinstance(self.schemes, (list, tuple)) or not self.schemes:
-                raise ConfigError("schemes must be a non-empty list of scheme "
-                                  "tokens")
-            unknown = [t for t in self.schemes
-                       if not isinstance(t, str) or t not in SCHEMES]
-            if unknown:
-                raise ConfigError("unknown scheme tokens: %r" % (unknown,))
-            if len(set(self.schemes)) != len(self.schemes):
-                raise ConfigError("schemes must not repeat a token")
-        if self.error_target < 1 or self.bits_cap < 1 or self.block_size < 1:
-            raise ConfigError("error_target, bits_cap and block_size must be >= 1")
-        if self.min_bits < 0:
-            raise ConfigError("min_bits must be >= 0")
-        if any(f < 0 or f > self.num_frames for f in self.cdf_frames):
-            raise ConfigError("cdf_frames must lie in [0, num_frames]")
-        if any(t <= 0 for t in self.gap_thresholds):
-            raise ConfigError("gap_thresholds must be > 0")
-        if self.num_trajectories < 0:
-            raise ConfigError("num_trajectories must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        return self
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def to_dict(self):
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            out[name] = value
-        return out
-
-
-def _noise_power(snr_db):
-    """10^(-snr_db/10) as a Python float (unit budgets); inf on overflow."""
-    try:
-        return 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        return math.inf
 
 
 def _stream(seed, realization, stream):
@@ -421,7 +208,7 @@ class ConvergenceResult:
 def _convergence_block(cfg, start, count):
     r = cfg.num_relays
     objective, constraint = SCHEMES["pb-s-sp"]
-    noise_power = _noise_power(cfg.snr_db_grid[0])
+    noise_power = cfg.single_noise_power("convergence")
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
                                         noise_power)
@@ -458,8 +245,7 @@ def _convergence_block(cfg, start, count):
 
 def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceResult:
     """Idealized pb-s-sp adaptation against the exact s-sp oracle."""
-    if len(cfg.snr_db_grid) != 1:
-        raise ConfigError("convergence uses a single snr_db_grid entry")
+    cfg.single_noise_power("convergence")  # fails before any block starts
     n = cfg.num_realizations
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
     parts = []
@@ -541,7 +327,7 @@ def _ber_block(cfg, points, start, count):
     """
     r = cfg.num_relays
     noise_power = np.array(
-        [_noise_power(cfg.snr_db_grid[p]) for p in points])[:, None]
+        [config.noise_power(cfg.snr_db_grid[p]) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
     schemes = [SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
@@ -744,7 +530,7 @@ def _tracking_block(cfg, start, count):
     (schemes, betas, dopplers).
     """
     r = cfg.num_relays
-    noise_power = _noise_power(cfg.snr_db_grid[0])
+    noise_power = cfg.single_noise_power("tracking")
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
     segments = (slice(0, lp // 2), slice(lp // 2, lp), slice(lp, s_total))
@@ -801,8 +587,7 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
     """
     if cfg.scheme is not Scheme.PM:
         raise ConfigError("tracking uses the PM scheme")
-    if len(cfg.snr_db_grid) != 1:
-        raise ConfigError("tracking uses a single snr_db_grid entry")
+    cfg.single_noise_power("tracking")
     cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_TRACKING_SCHEMES))
     bad = [t for t in cfg.schemes if SCHEMES[t][0] is None]
     if bad:

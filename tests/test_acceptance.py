@@ -30,9 +30,8 @@ from relaybf.channel import (
     sample_static_rayleigh,
 )
 from relaybf.cli import main as cli_main
+from relaybf.config import ExperimentConfig, Objective
 from relaybf.engine import (
-    ExperimentConfig,
-    Objective,
     run_ber_experiment,
     run_convergence_experiment,
     run_tracking_experiment,

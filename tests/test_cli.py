@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaybf.cli import main
-from relaybf.engine import SCHEMES, ConvergenceResult
+from relaybf.config import SCHEMES
+from relaybf.engine import ConvergenceResult
 
 CONV_CFG = {
     "scheme": "pm", "num_realizations": 12, "num_frames": 12,
@@ -261,6 +262,8 @@ def test_oracle_check_passes(tmp_path, capsys):
     # every |hbar|^2 underflows, or every relay's SNR does
     {"snr_db_grid": [-300.0], "distances": [1e76] * 3},
     {"snr_db_grid": [-3000.0], "distances": [1e76] * 3},
+    # a second SNR point, which went untested: the check takes one
+    {"snr_db_grid": [18.0, -40.0]},
 ])
 def test_oracle_check_rejects_an_out_of_range_channel(tmp_path, capsys, data):
     cfg = _cfg_file(tmp_path, {"num_realizations": 3, **data})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from relaybf import engine, estimation, network, oracles
 from relaybf.adaptation import (
@@ -23,11 +24,14 @@ from relaybf.adaptation import (
 )
 from relaybf.channel import (JakesBank, PathLoss, complex_normal,
                              sample_static_rayleigh)
-from relaybf.engine import (
+from relaybf.config import (
     SCHEMES,
     ConfigError,
     ExperimentConfig,
     Objective,
+    noise_power,
+)
+from relaybf.engine import (
     run_ber_experiment,
     run_convergence_experiment,
     run_tracking_experiment,
@@ -172,6 +176,21 @@ def test_config_rejects_bad_values(bad, match):
         ExperimentConfig(**bad)
 
 
+# integer key -> its least value
+_INT_MINIMA = {"num_relays": 1, "num_realizations": 1, "num_frames": 1,
+               "warmup_frames": 0, "seed": 0, "num_pilots": 1, "num_data": 1,
+               "error_target": 1, "min_bits": 0, "bits_cap": 1,
+               "block_size": 1, "num_trajectories": 0}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
+                                 if type(f.default) is int])
+def test_config_range_message_names_one_key(key):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**{key: _INT_MINIMA[key] - 1})
+    assert str(info.value).startswith(key + " must be >= ")
+
+
 def test_config_converts_integral_floats():
     cfg = ExperimentConfig(num_frames=30.0, cdf_frames=[10.0])
     assert cfg.num_frames == 30 and type(cfg.num_frames) is int
@@ -222,6 +241,48 @@ def test_noiseless_link_detects_without_errors():
     rows = run_ber_experiment(cfg).rows
     assert len(rows) == len(SCHEMES)
     assert all(row.errors == 0 and row.bits == 16 * 5 * 40 for row in rows)
+
+
+def test_ber_errors_match_their_exact_conditional_expectation(monkeypatch):
+    # The BER weights adapt on exact objectives, never on the data noise, so
+    # given a frame's detection gain a and noise scale sigma each data bit
+    # is wrong with probability exactly p = erfc(|a|/sigma)/2.  A row's
+    # error count is a sum of independent Bernoulli draws, with mean sum(p)
+    # and variance sum(p(1-p)); it must lie within 5 standard deviations.
+    cfg = ExperimentConfig(scheme="pm", snr_db_grid=[0.0, 5.0, 10.0],
+                           schemes=list(SCHEMES), num_realizations=40,
+                           num_frames=20, warmup_frames=50, block_size=16,
+                           error_target=10**9, seed=731)
+    calls = []
+    detect = engine._detect_bits
+
+    def recording(y, a):
+        calls.append((y, a))
+        return detect(y, a)
+
+    monkeypatch.setattr(engine, "_detect_bits", recording)
+    rows = run_ber_experiment(cfg).rows
+    shape = (len(cfg.snr_db_grid), len(cfg.schemes))
+    mean, var = np.zeros(shape), np.zeros(shape)
+    calls = iter(calls)
+    # blocks, then frames, then schemes: the order of the detection calls
+    for start, count in engine._block_ranges(cfg, cfg.num_realizations):
+        bits, z = engine._draw_ber_noise(cfg, start, count)
+        s = 1.0 - 2.0 * bits
+        for f in range(cfg.num_frames):
+            for t in range(len(cfg.schemes)):
+                y, a = next(calls)  # (points, count, data), (points, count)
+                residual = y - a[..., None] * s[:, f]
+                sigma = np.median(np.abs(residual) / np.abs(z[:, f]), axis=-1)
+                # the data noise is the drawn noise at one scale per frame
+                assert np.all(np.abs(residual - sigma[..., None] * z[:, f])
+                              <= 1e-9 * (np.abs(a) + sigma)[..., None])
+                p = 0.5 * erfc(np.abs(a) / sigma)
+                mean[:, t] += cfg.num_data * p.sum(axis=-1)
+                var[:, t] += cfg.num_data * (p * (1.0 - p)).sum(axis=-1)
+    assert next(calls, None) is None
+    errors = np.array([row.errors for row in rows]).reshape(shape)
+    assert np.all(np.abs(errors - mean) <= 5.0 * np.sqrt(var)), (errors, mean)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.TR, Scheme.PM])
@@ -371,7 +432,7 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         num_realizations=n, num_frames=frames, block_size=block_size,
         num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed)
     res = run_convergence_experiment(cfg)
-    noise = engine._noise_power(cfg.snr_db_grid[0])
+    noise = noise_power(cfg.snr_db_grid[0])
     objective, constraint = SCHEMES["pb-s-sp"]
     pset = build_perturbation_set(r, cfg.scheme)
     ratio, bits = [], []
