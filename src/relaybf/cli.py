@@ -30,6 +30,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _worker_count(text):
+    """The value of --workers: an integer >= 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r"
+                                         % text)
+    return workers
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relaybf",
                      description="Adaptive relay beamforming simulations.")
@@ -43,27 +55,20 @@ def _build_parser() -> _Parser:
                        help="experiment description (JSON)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="process pool size (default 1)")
 
-    def _outputs(p):
+    def _experiment(p):
+        _common(p)
+        p.add_argument("--workers", type=_worker_count, default=1,
+                       help="process pool size (default 1)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
 
-    p = sub.add_parser("convergence",
-                       help="idealized adaptation against the exact oracle")
-    _common(p)
-    _outputs(p)
-
-    p = sub.add_parser("ber", help="idealized BER over an SNR grid")
-    _common(p)
-    _outputs(p)
-
-    p = sub.add_parser("tracking",
-                       help="realistic PM tracking over a Doppler grid")
-    _common(p)
-    _outputs(p)
+    _experiment(sub.add_parser(
+        "convergence", help="idealized adaptation against the exact oracle"))
+    _experiment(sub.add_parser("ber", help="idealized BER over an SNR grid"))
+    _experiment(sub.add_parser(
+        "tracking", help="realistic PM tracking over a Doppler grid"))
 
     p = sub.add_parser("oracle-check",
                        help="verify closed-form weights against random search")
@@ -85,8 +90,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(data)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     return cfg
 
 

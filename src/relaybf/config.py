@@ -176,6 +176,7 @@ class ExperimentConfig:
                 raise ConfigError("unknown scheme tokens: %r" % (unknown,))
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat a token")
+            self.schemes = list(self.schemes)
         if any(f < 0 or f > self.num_frames for f in self.cdf_frames):
             raise ConfigError("cdf_frames must lie in [0, num_frames]")
         if any(t <= 0 for t in self.gap_thresholds):

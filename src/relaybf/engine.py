@@ -40,6 +40,117 @@ def _stream(seed, realization, stream):
     return np.random.default_rng(ss)
 
 
+# numpy's SeedSequence hash constants (pool of 4 words) and PCG64's 128-bit
+# LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n):
+    """The 32-bit words, least significant first, SeedSequence makes of n >= 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashes(init, mult):
+    """SeedSequence's hashmix with hash constants starting at `init`: each
+    call takes a uint32 array (all arithmetic stays in array ops, which wrap
+    silently) and advances the constant."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 arrays."""
+    z = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return z ^ (z >> np.uint32(16))
+
+
+def _seed_words(seed, start, count, stream):
+    """PCG64's seeding words (initstate high, low, initseq high, low), shaped
+    (count, 4) uint64, from `SeedSequence(seed, spawn_key=(i, stream))` for
+    the realizations i in [start, start + count), all < 2**32.
+
+    Each realization's entropy is the seed's words, padded to the pool
+    size, then i and the stream's words; the entropies differ only in the
+    word i, so the pool hashing and mixing, and the words that the pool
+    generates, run as array ops over the block.
+    """
+    seed_words = _uint32_words(seed)
+    words = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    entropy = np.empty((len(words) + 1 + len(_uint32_words(stream)), count),
+                       dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, start + count)
+    entropy[len(words) + 1:] = np.array(_uint32_words(stream),
+                                        dtype=np.uint32)[:, None]
+    # SeedSequence.mix_entropy: every entropy word is at least a pool word
+    hashmix = _hashes(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(e))
+    # SeedSequence.generate_state(4, uint64): 8 words read as 4 little-endian
+    # uint64
+    hashmix = _hashes(_INIT_B, _MULT_B)
+    out = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    return np.stack([lo | hi << np.uint64(32)
+                     for lo, hi in zip(out[0::2], out[1::2])], axis=1)
+
+
+def _stream_states(seed, start, count, stream):
+    """The PCG64 state of `_stream(seed, i, stream)` for each realization
+    i in [start, start + count), in order.
+
+    The SeedSequence words of a whole block come from `_seed_words`, and
+    PCG64's seeding step runs on Python ints, one realization at a time.  A
+    realization index >= 2**32 has more than one entropy word, and falls
+    back to `_stream`.
+    """
+    split = max(start, min(start + count, 1 << 32))
+    for s_hi, s_lo, q_hi, q_lo in map(
+            np.ndarray.tolist, _seed_words(seed, start, split - start, stream)):
+        # pcg64_srandom_r: inc = 2*initseq + 1, then two LCG steps from 0
+        # with the initial state added in between
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        yield {"bit_generator": "PCG64",
+               "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT
+                                   + inc) & _MASK128,
+                         "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+    for i in range(split, start + count):
+        yield _stream(seed, i, stream).bit_generator.state
+
+
+def _block_streams(seed, start, count, stream):
+    """Yield the generator of `_stream(seed, i, stream)` for each realization
+    i in [start, start + count), in order: one generator, reset to each
+    realization's state, so draw from it before taking the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in _stream_states(seed, start, count, stream):
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _detect_bits(y, h_hat):
     """ML BPSK decision, bit 1 iff Re(conj(h_hat)*y) < 0, for y (..., L)
     and h_hat (...,); a zero estimate falls back to the sign of Re(y)."""
@@ -111,13 +222,15 @@ def _relay_power(constraint, num_relays):
 def _draw_channels(cfg, start, count):
     """Per-realization static channel draws, stacked (R, count).
 
-    Each realization's stream fills its row of one normal block in a single
-    call, with the layout of `channel.sample_static_rayleigh`; the block is
-    then folded into complex channels once.
+    Each realization's stream (all seeded in one pass) fills its row of one
+    normal block in a single call, with the layout of
+    `channel.sample_static_rayleigh`; the block is then folded into complex
+    channels once.
     """
     z = np.empty((count, 4, cfg.num_relays))
-    for j, i in enumerate(range(start, start + count)):
-        _stream(cfg.seed, i, _STREAM_CHANNEL).standard_normal(out=z[j])
+    for j, rng in enumerate(_block_streams(cfg.seed, start, count,
+                                           _STREAM_CHANNEL)):
+        rng.standard_normal(out=z[j])
     h, g = channel._static_rayleigh(z.transpose(1, 2, 0),
                                     PathLoss(cfg.distances).variances)
     # C order, as the callers always got: numpy's summation order, and so
@@ -297,15 +410,16 @@ class BerResult:
 def _draw_ber_noise(cfg, start, count):
     """Data bits and unit-variance complex noise, each (count, frames, data).
 
-    Each realization's stream draws its bits, then fills its row of one
-    normal block (re, im) in a single call; the block is then assembled
-    once, in place, so at most one float and one complex block are alive.
+    Each realization's stream (all seeded in one pass) draws its bits, then
+    fills its row of one normal block (re, im) in a single call; the block
+    is then assembled once, in place, so at most one float and one complex
+    block are alive.
     """
     shape = (cfg.num_frames, cfg.num_data)
     bits = np.empty((count,) + shape, dtype=np.int8)
     zz = np.empty((count, 2) + shape)
-    for j, i in enumerate(range(start, start + count)):
-        rng = _stream(cfg.seed, i, _STREAM_NOISE)
+    for j, rng in enumerate(_block_streams(cfg.seed, start, count,
+                                           _STREAM_NOISE)):
         bits[j] = rng.integers(0, 2, size=shape)
         rng.standard_normal(out=zz[j])
     # (re + 1j*im) / sqrt(2), not `channel._complex_gaussian`: dividing by

@@ -248,6 +248,15 @@ def test_tracking_rejects_a_doppler_that_overflows_the_phase(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_oracle_check_has_no_workers_flag(tmp_path, capsys):
+    # it runs in one process: a pool size would be silently ignored
+    cfg = _cfg_file(tmp_path, {"num_realizations": 2, "seed": 0})
+    assert main(["oracle-check", "--config", cfg, "--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --workers 2\n"
+
+
 def test_oracle_check_passes(tmp_path, capsys):
     cfg = _cfg_file(tmp_path, {"num_realizations": 2, "seed": 0})
     assert main(["oracle-check", "--config", cfg]) == 0

@@ -191,6 +191,20 @@ def test_config_range_message_names_one_key(key):
     assert str(info.value).startswith(key + " must be >= ")
 
 
+@settings(max_examples=100)
+@given(valid=_valid_config_dicts(), as_tuples=st.booleans())
+@example(valid={"num_relays": 1, "distances": [1.0], "num_frames": 1,
+                "schemes": ["p-sp"]}, as_tuples=True)
+def test_config_survives_a_json_round_trip(valid, as_tuples):
+    # a config built from tuples equals the one read back from its JSON
+    if as_tuples:
+        valid = {k: tuple(v) if isinstance(v, list) else v
+                 for k, v in valid.items()}
+    cfg = ExperimentConfig.from_dict(valid)
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) \
+        == cfg
+
+
 def test_config_converts_integral_floats():
     cfg = ExperimentConfig(num_frames=30.0, cdf_frames=[10.0])
     assert cfg.num_frames == 30 and type(cfg.num_frames) is int
@@ -823,13 +837,23 @@ def test_streams_are_stable_and_distinct():
     assert not np.array_equal(a, d)
 
 
+# seeds and realization indices on both sides of 2**32 and 2**64, where
+# numpy's SeedSequence takes one more entropy word
+_WIDE_INTS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1) \
+    | st.integers(2**64, 2**80)
+# realization ranges that may straddle 2**32, where block seeding falls back
+# to `engine._stream`
+_STARTS = st.integers(0, 10**6) | st.integers(2**32 - 6, 2**32 + 2)
+
+
 @settings(max_examples=60, deadline=None)
-@given(r=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       start=st.integers(0, 10**6), count=st.integers(1, 6),
+@given(r=st.integers(1, 8), seed=_WIDE_INTS, start=_STARTS,
+       count=st.integers(1, 6),
        exponents=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
 def test_draw_channels_match_the_scalar_draws(r, seed, start, count,
                                               exponents):
-    # the block fold gives the bits of one scalar draw per realization
+    # the block fold and block seeding give the bits of one scalar draw per
+    # realization
     distances = [10.0 ** e for e in exponents[:r]]
     cfg = ExperimentConfig(num_relays=r, distances=distances, seed=seed)
     h, g = engine._draw_channels(cfg, start, count)
@@ -861,13 +885,21 @@ def test_tracking_frame_noise_matches_the_per_realization_draws():
                 == rng.integers(0, 2, size=num_data).tobytes()
 
 
-def test_ber_noise_matches_the_per_realization_draws():
+@settings(max_examples=60, deadline=None)
+@given(seed=_WIDE_INTS, start=_STARTS, count=st.integers(1, 5),
+       num_frames=st.integers(1, 4), num_data=st.integers(1, 7))
+@example(seed=9, start=4, count=3, num_frames=3, num_data=5)
+def test_ber_noise_matches_the_per_realization_draws(seed, start, count,
+                                                     num_frames, num_data):
     # per stream: the bits, then the real and imaginary noise blocks
-    cfg = ExperimentConfig(num_frames=3, num_data=5, seed=9)
-    bits, z = engine._draw_ber_noise(cfg, 4, 3)
-    for j in range(3):
-        rng = engine._stream(9, 4 + j, engine._STREAM_NOISE)
+    cfg = ExperimentConfig(num_frames=num_frames, num_data=num_data,
+                           seed=seed)
+    shape = (num_frames, num_data)
+    bits, z = engine._draw_ber_noise(cfg, start, count)
+    assert bits.shape == z.shape == (count,) + shape
+    for j in range(count):
+        rng = engine._stream(seed, start + j, engine._STREAM_NOISE)
         assert bits[j].tobytes() \
-            == rng.integers(0, 2, size=(3, 5)).astype(np.int8).tobytes()
-        zz = rng.standard_normal((2, 3, 5))
+            == rng.integers(0, 2, size=shape).astype(np.int8).tobytes()
+        zz = rng.standard_normal((2,) + shape)
         assert z[j].tobytes() == ((zz[0] + 1j * zz[1]) / np.sqrt(2.0)).tobytes()
