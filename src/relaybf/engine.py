@@ -586,10 +586,11 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
                     measured, whole):
     """One realistic PM frame for every link of `w` (R, *links).
 
-    `gx` (relay receptions times forward channels, (..., L, R)) and `v`
+    `gx` (relay receptions times forward channels, (R, ..., L)) and `v`
     (destination noise, (..., L)) come split into the plus pilot half, the
     minus pilot half and the data interval; pilots are all ones, and their
-    estimates score the probes.  Data is detected with `carry`, the previous
+    estimates score the probes.  `measured` (R, ...) holds each relay's
+    mean received power.  Data is detected with `carry`, the previous
     frame's winning half estimate (its own winner on frame 0), or with
     `whole`, the full-interval estimate.  Returns (weights, winning half
     estimate, data estimate, data samples).
@@ -597,7 +598,7 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     alpha = network.relay_gains(_relay_power(constraint, w.shape[0]),
                                 measured)
     cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
-    *y, y_d = (network.combine(gx_seg, np.moveaxis(ww, 0, -1), alpha, v_seg)
+    *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
                for gx_seg, ww, v_seg in zip(gx, cand + (w,), v))
     pilots = [np.ones(yy.shape[-1], dtype=complex) for yy in y]
     h = [estimation._channel_estimate(*yp) for yp in zip(y, pilots)]
@@ -614,24 +615,36 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     return adaptation.select(w, cand, take_minus), h_winner, h_data, y_d
 
 
-def _draw_frame_noise(rngs, s_total, r, num_data, noise_power):
-    """One tracking frame's relay noise (count, S, R), destination noise
+def _draw_frame_noise(rngs, spare, s_total, r, num_data, noise_power):
+    """One tracking frame's relay noise (R, count, S), destination noise
     (count, S) and data bits (count, num_data), one stream per realization.
 
     Each stream makes one normal call, for the relay noise (re, im) and then
-    the destination noise (re, im), followed by one bit call; the block is
-    then assembled into complex noise once.
+    the destination noise (re, im), followed by the bits; the block is then
+    assembled into complex noise once.  The bits are those of
+    `integers(0, 2, size=num_data)`, the top bit of each 32-bit draw, taken
+    from raw PCG64 output: each 64-bit output is its low half, then its
+    high half.  `spare` (count,) holds the 32-bit halves that an odd count
+    left over, which the next frame's bits start with, or None; the updated
+    value is returned last.  The normals use whole 64-bit outputs only, so
+    the bits are the streams' one 32-bit consumer.
     """
     count = len(rngs)
+    num_raw = (num_data - (spare is not None) + 1) // 2
     z = np.empty((count, 2 * s_total * (r + 1)))
-    bits = np.empty((count, num_data), dtype=np.int64)
+    raw = np.empty((count, num_raw), dtype="<u8")
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=z[j])
-        bits[j] = rng.integers(0, 2, size=num_data)
-    zn = z[:, :2 * s_total * r].reshape(count, 2, s_total, r).swapaxes(0, 1)
+        raw[j] = rng.bit_generator.random_raw(num_raw)
+    words = raw.view("<u4")  # little-endian: low half, then high half
+    if spare is not None:
+        words = np.concatenate([spare[:, None], words], axis=1)
+    bits = (words[:, :num_data] >> 31).astype(np.int64)
+    spare = words[:, num_data] if words.shape[1] > num_data else None
+    zn = z[:, :2 * s_total * r].reshape(count, 2, s_total, r)
     zv = z[:, 2 * s_total * r:].reshape(count, 2, s_total).swapaxes(0, 1)
-    return (channel._complex_gaussian(zn, noise_power),
-            channel._complex_gaussian(zv, noise_power), bits)
+    return (channel._complex_gaussian(zn.transpose(1, 3, 0, 2), noise_power),
+            channel._complex_gaussian(zv, noise_power), bits, spare)
 
 
 def _tracking_block(cfg, start, count):
@@ -640,8 +653,10 @@ def _tracking_block(cfg, start, count):
     The fading phases, noise and bits of each realization are drawn once.
     Each Doppler value gets one `JakesBank`, shared by every scheme and
     beta; per scheme, all (beta, Doppler) points advance together on
-    link axes.  Returns the block's bits per point and errors shaped
-    (schemes, betas, dopplers).
+    link axes.  The chain runs relays first: fading, noise and receptions
+    are (R, D, count, S), with a beta axis of length one after the relays,
+    and weights (R, betas, D, count).  Returns the block's bits per point
+    and errors shaped (schemes, betas, dopplers).
     """
     r = cfg.num_relays
     noise_power = cfg.single_noise_power("tracking")
@@ -652,11 +667,12 @@ def _tracking_block(cfg, start, count):
     amps = np.concatenate([pl.amplitudes, pl.amplitudes])  # h then g processes
 
     phases = np.empty((count, 2 * r, channel.DEFAULT_NUM_OSCILLATORS))
-    rngs = []
-    for j, i in enumerate(range(start, start + count)):
-        crng = _stream(cfg.seed, i, _STREAM_CHANNEL)
-        phases[j] = crng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1:])
-        rngs.append(_stream(cfg.seed, i, _STREAM_NOISE))
+    for j, rng in enumerate(_block_streams(cfg.seed, start, count,
+                                           _STREAM_CHANNEL)):
+        phases[j] = rng.uniform(0.0, 2.0 * np.pi, size=phases.shape[1:])
+    # the noise streams stay alive across frames
+    rngs = [_stream(cfg.seed, i, _STREAM_NOISE)
+            for i in range(start, start + count)]
     banks = [JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
              for doppler in cfg.normalized_doppler_grid]
     grid = (len(cfg.betas), len(banks), count)
@@ -669,16 +685,20 @@ def _tracking_block(cfg, start, count):
     carry = [None] * len(schemes)
     whole = cfg.pm_estimation_mode == "whole"
     errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)
+    coeff = np.empty((2 * r, len(banks), count, s_total), dtype=complex)
+    s = np.ones((count, s_total))  # pilots, then each frame's data symbols
+    spare = None
     for f in range(cfg.warmup_frames + cfg.num_frames):
-        coeff = np.stack([bank.block(f * s_total, s_total)
-                          for bank in banks])            # (D, count, 2R, S)
-        h_t = coeff[:, :, :r, :].transpose(0, 1, 3, 2)   # (D, count, S, R)
-        g_t = coeff[:, :, r:, :].transpose(0, 1, 3, 2)
-        n, v, bits = _draw_frame_noise(rngs, s_total, r, ld, noise_power)
-        s = np.concatenate(
-            [np.ones((count, lp)), 1.0 - 2.0 * bits], axis=1)
-        x, measured = network.relay_receive(h_t, s, n)  # source power 1
-        gx = [g_t[..., sl, :] * x[..., sl, :] for sl in segments]
+        for d, bank in enumerate(banks):
+            coeff[:, d] = bank.block(f * s_total, s_total).transpose(1, 0, 2)
+        h, g = coeff[:r, None], coeff[r:, None]          # (R, 1, D, count, S)
+        n, v, bits, spare = _draw_frame_noise(rngs, spare, s_total, r, ld,
+                                              noise_power)
+        s[:, lp:] = 1.0 - 2.0 * bits
+        # source power 1
+        x, measured = network.relay_receive(h, s, n[:, None, None])
+        forwarded = g * x
+        gx = [forwarded[..., sl] for sl in segments]
         vs = [v[:, sl] for sl in segments]
         q = pset.column(f)
         for t, (objective, ck) in enumerate(schemes):

@@ -16,12 +16,11 @@ from .adaptation import relay_sum
 
 
 # The chain, batched over links.  Channels, gains and weights put the relay
-# axis first, (R, *links), as in `adaptation`; the gain rule and the fold are
-# elementwise.  Tracking's per-symbol receptions keep relays last,
-# (..., L, R): `relay_receive` averages over L and `combine` takes its
-# weights relay-last.  The chain runs at source power 1; a source power Ps
-# is folded into h as sqrt(Ps)*h.  A single link is the batch with no link
-# axes.
+# axis first, (R, *links), as in `adaptation`, and so do tracking's
+# per-symbol receptions, (R, *links, L) with the L symbols last; the gain
+# rule and the fold are elementwise.  The chain runs at source power 1; a
+# source power Ps is folded into h as sqrt(Ps)*h.  A single link is the
+# batch with no link axes.
 
 def relay_gains(relay_power, received_power):
     """The AF gain rule alpha = sqrt(P / received power); the power is
@@ -41,16 +40,27 @@ def ideal_compound(h, g, relay_power, noise_power):
 
 
 def relay_receive(h, s, n):
-    """Receptions x = h*s + n of symbols s (..., L), h and n (..., L, R),
-    and each relay's measured power, mean |x|^2 over the L symbols."""
-    x = h * s[..., None] + n
-    return x, np.mean(np.abs(x) ** 2, axis=-2)
+    """Receptions x = h*s + n of symbols s (..., L), h and n (R, ..., L),
+    and each relay's measured power, mean |x|^2 over the L symbols, (R, ...).
+
+    The mean has the bits of numpy's mean over L of a contiguous relay-last
+    (..., L, R) array: that adds the L rows one by one, as a running sum
+    does, except at R = 1, where L is the inner axis and is summed pairwise.
+    """
+    x = h * s + n
+    power = np.abs(x) ** 2
+    if x.shape[0] == 1:
+        total = np.sum(np.ascontiguousarray(power), axis=-1)
+    else:
+        total = np.cumsum(power, axis=-1)[..., -1]
+    return x, total / power.shape[-1]
 
 
 def combine(gx, w, alphas, v):
     """Destination samples sum_i (g_i*x_i)*(conj(w_i)*alpha_i) + v of
-    forwarded receptions gx = g*x (..., L, R) and noise v (..., L)."""
-    return np.sum(gx * (np.conj(w) * alphas)[..., None, :], axis=-1) + v
+    forwarded receptions gx = g*x (R, ..., L), weights and gains (R, ...),
+    and noise v (..., L)."""
+    return relay_sum(gx * (np.conj(w) * alphas)[..., None]) + v
 
 
 def _signal_power(w, hbar):

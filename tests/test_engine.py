@@ -746,21 +746,21 @@ SUM = ConstraintKind.SUM_POWER
 
 
 def _frame_inputs(bank, frame, rng, noise, num_pilots=10, num_data=40):
-    """One link's frame as `_tracking_block` feeds `_pm_track_frame`."""
+    """One link's frame as `_tracking_block` feeds `_pm_track_frame`:
+    relays first, (R, 1, L) receptions and (R, 1) measured powers."""
     r = bank.phases.shape[-2] // 2
     s_total = num_pilots + num_data
-    coeff = bank.block(frame * s_total, s_total)       # (1, 2R, S)
-    h_t = coeff[:, :r].transpose(0, 2, 1)               # (1, S, R)
-    g_t = coeff[:, r:].transpose(0, 2, 1)
+    coeff = bank.block(frame * s_total, s_total).transpose(1, 0, 2)
+    h, g = coeff[:r], coeff[r:]                          # (R, 1, S)
     bits = rng.integers(0, 2, size=(1, num_data))
     s = np.concatenate([np.ones((1, num_pilots)), 1.0 - 2.0 * bits], axis=1)
     x, measured = network.relay_receive(
-        h_t, s, complex_normal(rng, (1, s_total, r), noise))
+        h, s, complex_normal(rng, (1, s_total, r), noise).transpose(2, 0, 1))
     v = complex_normal(rng, (1, s_total), noise)
     half = num_pilots // 2
     segments = (slice(0, half), slice(half, num_pilots),
                 slice(num_pilots, s_total))
-    return ([g_t[:, sl] * x[:, sl] for sl in segments],
+    return ([g[..., sl] * x[..., sl] for sl in segments],
             [v[:, sl] for sl in segments], measured)
 
 
@@ -778,10 +778,10 @@ def test_realistic_pm_detection_uses_previous_winner():
             ws, carry, 0.1, pset.column(f), Objective.SNR, SUM, gx, v,
             measured, False)
         # the same frame through one link's candidates and the estimators
-        alpha = np.sqrt(1.0 / measured[0])
+        alpha = np.sqrt(1.0 / measured[:, 0])
         cand = probes(Scheme.PM, w, pset.column(f), 0.1, SUM)
         pilots = np.ones(5, dtype=complex)
-        y = [np.sum(gx[i][0] * (np.conj(c) * alpha)[None, :], axis=-1)
+        y = [np.sum(gx[i][:, 0] * (np.conj(c) * alpha)[:, None], axis=0)
              + v[i][0] for i, c in enumerate(cand)]
         halves = [estimation._channel_estimate(yy, pilots) for yy in y]
         snr = [estimation._snr_estimate(hh, yy, pilots)
@@ -868,16 +868,19 @@ def test_draw_channels_match_the_scalar_draws(r, seed, start, count,
 
 
 def test_tracking_frame_noise_matches_the_per_realization_draws():
-    # per frame and stream: relay noise, destination noise, then the bits
+    # per frame and stream: relay noise, destination noise, then the bits;
+    # the relay noise comes relays first, (R, count, S)
     s_total, r, num_data, noise = 7, 3, 4, 0.3
     rngs = [engine._stream(5, i, engine._STREAM_NOISE) for i in range(4)]
     refs = [engine._stream(5, i, engine._STREAM_NOISE) for i in range(4)]
+    spare = None
     for _ in range(3):
-        n, v, bits = engine._draw_frame_noise(rngs, s_total, r, num_data,
-                                              noise)
-        assert n.flags.c_contiguous and v.flags.c_contiguous
+        n, v, bits, spare = engine._draw_frame_noise(rngs, spare, s_total, r,
+                                                     num_data, noise)
+        assert n.shape == (r, 4, s_total) and v.shape == (4, s_total)
+        assert v.flags.c_contiguous
         for j, rng in enumerate(refs):
-            assert n[j].tobytes() \
+            assert np.ascontiguousarray(n[:, j].T).tobytes() \
                 == complex_normal(rng, (s_total, r), noise).tobytes()
             assert v[j].tobytes() \
                 == complex_normal(rng, s_total, noise).tobytes()
