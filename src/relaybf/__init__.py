@@ -6,8 +6,8 @@ from .adaptation import (ConstraintKind, PerturbationSet, Scheme,
                          build_perturbation_set, dft_matrix, init_weights)
 from .channel import JakesBank, PathLoss, complex_normal, sample_static_rayleigh
 from .config import ConfigError, ExperimentConfig, Objective
-from .engine import (BerResult, BerRow, ConvergenceResult, TrackingResult,
-                     TrackingRow, run_ber_experiment, run_convergence_experiment,
+from .engine import (BerRow, ConvergenceResult, GridResult, TrackingRow,
+                     run_ber_experiment, run_convergence_experiment,
                      run_tracking_experiment, snr_at_ber)
 from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          RelayAgent, RelayRegistry, apply_birth, apply_death,

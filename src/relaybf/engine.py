@@ -19,7 +19,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -163,53 +163,46 @@ def _detect_bits(y, h_hat):
 # batched kernels (weights and compound channels (R, *links), relays
 # first): the adaptation step of `adaptation` on exact objectives
 
-def _objective_batch(objective, w, hbar, gbar2, noise_power):
+def _objective_batch(snr, w, hbar, gbar2, noise_power):
     """Exact objectives of weights `w` (R, *links), given hbar and the
-    noise-forwarding powers gbar2 = |gbar|^2.
-
-    `objective` is one `Objective` for the whole stack, or a sequence with
-    one per entry of the scheme axis that follows the relay axis.
+    noise-forwarding powers gbar2 = |gbar|^2: the signal power, divided
+    into the SNR on the entries `snr` of the axis after the relays (a
+    slice, or None when every entry scores power).
     """
-    if objective is Objective.POWER:
-        return network._signal_power(w, hbar)
-    if objective is Objective.SNR:
-        return network._snr(w, hbar, gbar2, noise_power)
     j = network._signal_power(w, hbar)
-    snr = [s for s, o in enumerate(objective) if o is Objective.SNR]
-    if snr:
-        if snr[-1] - snr[0] == len(snr) - 1:  # a run: index with a view
-            snr = slice(snr[0], snr[-1] + 1)
-        # the expression of `network._snr`, on the SNR schemes only
+    if snr is not None:
+        # the expression of `network._snr`, on the SNR entries only
         j[snr] /= noise_power * (1.0 + network._noise_gain(w[:, snr], gbar2))
     return j
 
 
-def _tr_batch(w, best, frame_index, beta, pset, constraint, objective,
+def _tr_batch(w, best, frame_index, beta, pset, constraint, snr,
               hbar, gbar2, noise_power, forgetting):
     cand = adaptation.probes(Scheme.TR, w, pset.column(frame_index), beta,
                              constraint)
-    j = _objective_batch(objective, cand[0], hbar, gbar2, noise_power)
+    j = _objective_batch(snr, cand[0], hbar, gbar2, noise_power)
     take, best = adaptation.decide(Scheme.TR, (j,), best, forgetting)
     return adaptation.select(w, cand, take), best, take
 
 
-def _pm_batch(w, frame_index, beta, pset, constraint, objective,
+def _pm_batch(w, frame_index, beta, pset, constraint, snr,
               hbar, gbar2, noise_power):
     cand = adaptation.probes(Scheme.PM, w, pset.column(frame_index), beta,
                              constraint)
     take_minus, _ = adaptation.decide(Scheme.PM, [
-        _objective_batch(objective, c, hbar, gbar2, noise_power) for c in cand])
+        _objective_batch(snr, c, hbar, gbar2, noise_power) for c in cand])
     return adaptation.select(w, cand, take_minus), take_minus
 
 
-def _adapt(cfg, pset, frame_index, w, best, objective, constraint,
+def _adapt(cfg, pset, frame_index, w, best, snr, constraint,
            hbar, gbar2, noise_power):
-    """(w, best, bit) after one `cfg.scheme` frame; PM leaves `best` as is."""
+    """(w, best, bit) after one `cfg.scheme` frame; PM leaves `best` as is.
+    `snr` selects the SNR-scored entries, as in `_objective_batch`."""
     if cfg.scheme is Scheme.TR:
         return _tr_batch(w, best, frame_index, cfg.beta, pset, constraint,
-                         objective, hbar, gbar2, noise_power,
+                         snr, hbar, gbar2, noise_power,
                          cfg.forgetting_factor)
-    w, bit = _pm_batch(w, frame_index, cfg.beta, pset, constraint, objective,
+    w, bit = _pm_batch(w, frame_index, cfg.beta, pset, constraint, snr,
                        hbar, gbar2, noise_power)
     return w, best, bit
 
@@ -320,7 +313,7 @@ class ConvergenceResult:
 
 def _convergence_block(cfg, start, count):
     r = cfg.num_relays
-    objective, constraint = SCHEMES["pb-s-sp"]
+    constraint = SCHEMES["pb-s-sp"][1]
     noise_power = cfg.single_noise_power("convergence")
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
@@ -349,7 +342,8 @@ def _convergence_block(cfg, start, count):
             break
         if n_traj:
             snr_traj[:, k] = ratio[traj]
-        w, best, bit = _adapt(cfg, pset, k, w, best, objective, constraint,
+        # every link scores the SNR (pb-s-sp)
+        w, best, bit = _adapt(cfg, pset, k, w, best, slice(None), constraint,
                               hbar, gbar2, noise_power)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
@@ -377,6 +371,32 @@ def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceR
 # BER-vs-SNR experiment
 
 @dataclass
+class GridResult:
+    """The rows of a BER or tracking grid, in grid order.  A curve is keyed
+    by the leading fields of its rows: the scheme of a `BerRow`, the scheme
+    and beta of a `TrackingRow`."""
+
+    config: ExperimentConfig
+    rows: list
+
+    def _keyed(self, key):
+        return [(astuple(r)[len(key)], r) for r in self.rows
+                if astuple(r)[:len(key)] == key]
+
+    def curve(self, *key):
+        """(the field after `key`, ber) arrays over the rows keyed by `key`."""
+        pts = self._keyed(key)
+        return (np.array([x for x, _ in pts]),
+                np.array([r.ber for _, r in pts]))
+
+    def row(self, *key):
+        """The first row whose leading fields equal `key`."""
+        for _, r in self._keyed(key):
+            return r
+        raise KeyError(key)
+
+
+@dataclass
 class BerRow:
     scheme: str
     snr_db: float
@@ -386,25 +406,6 @@ class BerRow:
     @property
     def ber(self) -> float:
         return self.errors / self.bits
-
-
-@dataclass
-class BerResult:
-    config: ExperimentConfig
-    rows: list
-
-    def curve(self, scheme):
-        """(snr_db, ber) arrays for one scheme, in grid order."""
-        pts = [(r.snr_db, r.ber) for r in self.rows if r.scheme == scheme]
-        snr = np.array([p[0] for p in pts])
-        ber = np.array([p[1] for p in pts])
-        return snr, ber
-
-    def row(self, scheme, snr_db) -> BerRow:
-        for r in self.rows:
-            if r.scheme == scheme and r.snr_db == snr_db:
-                return r
-        raise KeyError((scheme, snr_db))
 
 
 def _draw_ber_noise(cfg, start, count):
@@ -464,19 +465,21 @@ def _ber_block(cfg, points, start, count):
             hbar, gbar2 = compound[ck]
             fixed[t] = gains(oracles.closed_form(token, hbar, gbar2), hbar,
                              gbar2)
-    # adaptive schemes: one stack per constraint, with the positions and
-    # objectives of its schemes and (hbar, |gbar|^2) with a scheme axis;
-    # `state` holds each stack's weights (R, schemes, points, count) and
-    # stored best
+    # adaptive schemes: one stack per constraint, with the positions of its
+    # schemes, the slice of its scheme axis that scores the SNR (pb-s-sp,
+    # which `schemes` holds at most once) and (hbar, |gbar|^2) with a scheme
+    # axis; `state` holds each stack's weights (R, schemes, points, count)
+    # and stored best
     adaptive = {}
     for t, (objective, ck) in enumerate(schemes):
         if objective is not None:
             adaptive.setdefault(ck, []).append(t)
     stacks, state = [], []
     for ck, members in adaptive.items():
+        snr = next((slice(i, i + 1) for i, t in enumerate(members)
+                    if schemes[t][0] is Objective.SNR), None)
         hbar, gbar2 = (x[:, None] for x in compound[ck])
-        stacks.append((members, tuple(schemes[t][0] for t in members), ck,
-                       hbar, gbar2))
+        stacks.append((members, snr, ck, hbar, gbar2))
         w = np.tile(init_weights(r, ck)[:, None, None, None],
                     (1, len(members), len(points), count))
         state.append((w, np.zeros(w.shape[1:])))
@@ -484,9 +487,9 @@ def _ber_block(cfg, points, start, count):
 
     def advance(frame_index):
         """One `_adapt` call per stack."""
-        for i, (_, objectives, ck, hbar, gbar2) in enumerate(stacks):
-            state[i] = _adapt(cfg, pset, frame_index, *state[i], objectives,
-                              ck, hbar, gbar2, noise_power)[:2]
+        for i, (_, snr, ck, hbar, gbar2) in enumerate(stacks):
+            state[i] = _adapt(cfg, pset, frame_index, *state[i], snr, ck,
+                              hbar, gbar2, noise_power)[:2]
 
     for k in range(cfg.warmup_frames):
         advance(k)
@@ -513,7 +516,7 @@ def _ber_block(cfg, points, start, count):
     return count * n_frames * n_data, points, errors
 
 
-def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
+def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
     """Idealized BER curves over an SNR grid, paired draws across schemes.
 
     Each point accumulates whole realization blocks, in index order, until
@@ -550,7 +553,7 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> BerResult:
     rows = [BerRow(token, float(snr_db), total_bits[p], int(err[p, t]))
             for p, snr_db in enumerate(cfg.snr_db_grid)
             for t, token in enumerate(cfg.schemes)]
-    return BerResult(cfg, rows)
+    return GridResult(cfg, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +570,6 @@ class TrackingRow:
     @property
     def ber(self) -> float:
         return self.errors / self.bits
-
-
-@dataclass
-class TrackingResult:
-    config: ExperimentConfig
-    rows: list
-
-    def curve(self, scheme, beta):
-        pts = [(r.normalized_doppler, r.ber) for r in self.rows
-               if r.scheme == scheme and r.beta == beta]
-        dop = np.array([p[0] for p in pts])
-        ber = np.array([p[1] for p in pts])
-        return dop, ber
 
 
 def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
@@ -600,16 +590,13 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
     cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
     *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
                for gx_seg, ww, v_seg in zip(gx, cand + (w,), v))
-    pilots = [np.ones(yy.shape[-1], dtype=complex) for yy in y]
-    h = [estimation._channel_estimate(*yp) for yp in zip(y, pilots)]
+    h = [estimation._channel_estimate(yy) for yy in y]
     j = [np.abs(hh) ** 2 if objective is Objective.POWER
-         else estimation._snr_estimate(hh, yy, p)
-         for hh, yy, p in zip(h, y, pilots)]
+         else estimation._snr_estimate(hh, yy) for hh, yy in zip(h, y)]
     take_minus, _ = adaptation.decide(Scheme.PM, j)
     h_winner = np.where(take_minus, h[1], h[0])
     if whole:
-        h_data = estimation._channel_estimate(np.concatenate(y, axis=-1),
-                                              np.concatenate(pilots))
+        h_data = estimation._channel_estimate(np.concatenate(y, axis=-1))
     else:
         h_data = h_winner if carry is None else carry
     return adaptation.select(w, cand, take_minus), h_winner, h_data, y_d
@@ -711,7 +698,7 @@ def _tracking_block(cfg, start, count):
     return count * cfg.num_frames * ld, errors
 
 
-def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
+def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
     """Realistic PM tracking: BER over a normalized-Doppler grid.
 
     Channels, noise and payload bits are drawn from per-realization streams
@@ -750,7 +737,7 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> TrackingResult:
             for t, token in enumerate(cfg.schemes)
             for b, beta in enumerate(cfg.betas)
             for d, doppler in enumerate(cfg.normalized_doppler_grid)]
-    return TrackingResult(cfg, rows)
+    return GridResult(cfg, rows)
 
 
 def snr_at_ber(snr_db, ber, target) -> float:

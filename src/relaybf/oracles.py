@@ -52,8 +52,13 @@ def closed_form(token, hbar, gbar2):
     raise ValueError("no closed form for scheme %r" % token)
 
 
-def random_search_margins(hbar, gbar, noise_power, num_vectors, rng,
-                          chunk=20000):
+# vectors per draw of `random_search_margins`.  A draw takes the real parts
+# of its vectors, then their imaginary parts, so this size decides which
+# normals become which: it is part of the draw layout, not a free setting.
+_SEARCH_CHUNK = 20000
+
+
+def random_search_margins(hbar, gbar, noise_power, num_vectors, rng):
     """Best objective ratio found by random unit-norm probing of one
     compound channel (hbar, gbar), each (R,).
 
@@ -71,7 +76,7 @@ def random_search_margins(hbar, gbar, noise_power, num_vectors, rng,
     hbar, gbar2 = hbar[:, None], gbar2[:, None]
     remaining = int(num_vectors)
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(_SEARCH_CHUNK, remaining)
         remaining -= n
         # drawn vector by vector, then viewed relay-first
         raw = (rng.standard_normal((n, r))

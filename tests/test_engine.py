@@ -322,19 +322,21 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
         complex_normal(rng, (links, r)).T, complex_normal(rng, (links, r)).T,
         engine._relay_power(constraint, r), noise)
     gbar2 = np.abs(gbar) ** 2
+    # the whole stack scores the drawn objective, as in a convergence block
+    snr = None if objective is Objective.POWER else slice(None)
 
     def step(w, best, k, hbar, gbar2):
         if scheme is Scheme.TR:
             return engine._tr_batch(w, best, k, beta, pset, constraint,
-                                    objective, hbar, gbar2, noise, forgetting)
-        w, take = engine._pm_batch(w, k, beta, pset, constraint, objective,
+                                    snr, hbar, gbar2, noise, forgetting)
+        w, take = engine._pm_batch(w, k, beta, pset, constraint, snr,
                                    hbar, gbar2, noise)
         return w, best, take
 
     def measure(c):
         # the objectives of the stack are those of each link alone, a
         # single vector (R,) whose relay sum is a numpy scalar
-        j = engine._objective_batch(objective, c, hbar, gbar2, noise)
+        j = engine._objective_batch(snr, c, hbar, gbar2, noise)
         for i in range(links):
             assert j[i] == (network._signal_power(c[:, i], hbar[:, i])
                             if objective is Objective.POWER
@@ -380,30 +382,54 @@ CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
                 snr_db_grid=[18.0], seed=11)
 
 
+# Every objective stack a run builds: a BER block's stacks (R, schemes,
+# points, count), by the objectives of their schemes with the SNR slice
+# that `_ber_block` derives, and a convergence block's (R, count), which
+# scores the SNR on every link.
+_OBJECTIVE_STACKS = [
+    ((Objective.POWER,), None),                       # pb-egc or pb-p-sp
+    ((Objective.POWER, Objective.SNR), slice(1, 2)),  # pb-p-sp, pb-s-sp
+    ((Objective.SNR, Objective.POWER), slice(0, 1)),  # pb-s-sp, pb-p-sp
+    ((Objective.SNR,), slice(0, 1)),                  # pb-s-sp
+    (None, slice(None)),                              # convergence
+]
+
+
 @settings(max_examples=60, deadline=None)
-@given(r=st.integers(1, 9),
-       objectives=st.lists(st.sampled_from(list(Objective)), min_size=1,
-                           max_size=4),
+@given(r=st.integers(1, 9), stack=st.sampled_from(_OBJECTIVE_STACKS),
        snr_db=st.lists(st.floats(-10.0, 40.0), min_size=2, max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_objective_batch_per_scheme_matches_each_slice(r, objectives, snr_db,
-                                                       seed):
-    # one objective per entry of the scheme axis: each slice has the bits
-    # of that objective on the slice alone
+def test_objective_batch_matches_each_entry_alone(r, stack, snr_db, seed):
+    # each entry of the stack has the bits of its objective, `network._snr`
+    # or `network._signal_power`, on its single vector (R,) alone
+    objectives, snr = stack
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-np.array(snr_db)[:, None] / 10.0)  # (points, 1)
     hbar, gbar = network.ideal_compound(
         complex_normal(rng, (r, 2, 3)), complex_normal(rng, (r, 2, 3)), 1.0,
         noise)
     gbar2 = np.abs(gbar) ** 2
-    w = complex_normal(rng, (r, len(objectives), 2, 3))
-    j = engine._objective_batch(tuple(objectives), w, hbar[:, None],
-                                gbar2[:, None], noise)
+    if objectives is None:  # one SNR point, no scheme axis
+        hbar, gbar2, noise = hbar[:, 0], gbar2[:, 0], noise[0, 0]
+        w = complex_normal(rng, (r, 3))
+        j = engine._objective_batch(snr, w, hbar, gbar2, noise)
+        entries = [(Objective.SNR, (i,), (i,), noise) for i in range(3)]
+    else:
+        w = complex_normal(rng, (r, len(objectives), 2, 3))
+        j = engine._objective_batch(snr, w, hbar[:, None], gbar2[:, None],
+                                    noise)
+        entries = [(o, (s, p, i), (p, i), noise[p, 0])
+                   for s, o in enumerate(objectives)
+                   for p in range(2) for i in range(3)]
     assert j.shape == w.shape[1:]
-    for s, objective in enumerate(objectives):
-        alone = engine._objective_batch(objective, w[:, s], hbar, gbar2,
-                                        noise)
-        assert j[s].tobytes() == alone.tobytes()
+    for objective, at, link, noise_at in entries:
+        w_at, hbar_at = w[(slice(None),) + at], hbar[(slice(None),) + link]
+        if objective is Objective.POWER:
+            alone = network._signal_power(w_at, hbar_at)
+        else:
+            alone = network._snr(w_at, hbar_at,
+                                 gbar2[(slice(None),) + link], noise_at)
+        assert j[at].tobytes() == alone.tobytes(), (objective, at)
 
 
 def test_convergence_shapes_and_progress():
@@ -447,7 +473,7 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed)
     res = run_convergence_experiment(cfg)
     noise = noise_power(cfg.snr_db_grid[0])
-    objective, constraint = SCHEMES["pb-s-sp"]
+    constraint = SCHEMES["pb-s-sp"][1]
     pset = build_perturbation_set(r, cfg.scheme)
     ratio, bits = [], []
     for start, count in engine._block_ranges(cfg, n):
@@ -462,8 +488,9 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         for k in range(frames + 1):
             ratio.append(network._snr(w, hbar, gbar2, noise) / opt)
             if k < frames:
-                w, best, bit = engine._adapt(cfg, pset, k, w, best, objective,
-                                             constraint, hbar, gbar2, noise)
+                w, best, bit = engine._adapt(cfg, pset, k, w, best,
+                                             slice(None), constraint, hbar,
+                                             gbar2, noise)
                 bits.append(bit)
     # (realizations, frames + 1) and (realizations, frames)
     ratio = np.vstack([np.stack(ratio[i:i + frames + 1], axis=1)
@@ -500,6 +527,10 @@ def test_ber_rows_and_physics():
     np.testing.assert_array_equal(snr, [6.0, 12.0])
     assert ber[1] < ber[0]
     assert res.row("p-sp", 6.0).ber < res.row("no-bf", 6.0).ber
+    # rows are keyed by their leading fields, (scheme, snr_db)
+    assert res.row("pb-s-sp", 12.0) is res.rows[5]
+    with pytest.raises(KeyError):
+        res.row("pb-s-sp", 9.0)
 
 
 def test_ber_deterministic_and_worker_independent():
@@ -780,12 +811,10 @@ def test_realistic_pm_detection_uses_previous_winner():
         # the same frame through one link's candidates and the estimators
         alpha = np.sqrt(1.0 / measured[:, 0])
         cand = probes(Scheme.PM, w, pset.column(f), 0.1, SUM)
-        pilots = np.ones(5, dtype=complex)
         y = [np.sum(gx[i][:, 0] * (np.conj(c) * alpha)[:, None], axis=0)
              + v[i][0] for i, c in enumerate(cand)]
-        halves = [estimation._channel_estimate(yy, pilots) for yy in y]
-        snr = [estimation._snr_estimate(hh, yy, pilots)
-               for hh, yy in zip(halves, y)]
+        halves = [estimation._channel_estimate(yy) for yy in y]
+        snr = [estimation._snr_estimate(hh, yy) for hh, yy in zip(halves, y)]
         won = int(snr[1] > snr[0])
         w = cand[won]
         np.testing.assert_array_equal(ws[:, 0], w)
