@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -21,6 +22,23 @@ from .config import ConfigError, ExperimentConfig
 
 ORACLE_CHECK_VECTORS = 20000
 ORACLE_CHECK_SLACK = 1e-9
+
+
+# command -> (help text, runner, [(CSV file name, row type, rows of a
+# result)]); each CSV's header is its row type's fields
+_EXPERIMENTS = {
+    "convergence": (
+        "idealized adaptation against the exact oracle",
+        engine.run_convergence_experiment,
+        [("trajectories.csv", engine.TrajectoryRow,
+          methodcaller("trajectory_rows")),
+         ("gap_cdf.csv", engine.GapCdfRow, methodcaller("cdf_rows"))]),
+    "ber": ("idealized BER over an SNR grid", engine.run_ber_experiment,
+            [("ber.csv", engine.BerRow, attrgetter("rows"))]),
+    "tracking": ("realistic PM tracking over a Doppler grid",
+                 engine.run_tracking_experiment,
+                 [("tracking.csv", engine.TrackingRow, attrgetter("rows"))]),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,23 +74,20 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
 
-    def _experiment(p):
+    for command, (help_text, _, _) in _EXPERIMENTS.items():
+        p = sub.add_parser(command, help=help_text)
         _common(p)
         p.add_argument("--workers", type=_worker_count, default=1,
                        help="process pool size (default 1)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-
-    _experiment(sub.add_parser(
-        "convergence", help="idealized adaptation against the exact oracle"))
-    _experiment(sub.add_parser("ber", help="idealized BER over an SNR grid"))
-    _experiment(sub.add_parser(
-        "tracking", help="realistic PM tracking over a Doppler grid"))
+        p.set_defaults(run=_cmd_experiment)
 
     p = sub.add_parser("oracle-check",
                        help="verify closed-form weights against random search")
     _common(p, config_required=False)
+    p.set_defaults(run=_cmd_oracle_check)
     return parser
 
 
@@ -101,33 +116,17 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _atomic_write(path, write):
-    """Call `write(fh)` on a temp file next to `path`, then rename it over
-    `path`, so a failed run never leaves a half-written output behind."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, ".%s.%d.tmp" % (tail, os.getpid()))
-    try:
-        with open(tmp, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # only after a failure
-            os.remove(tmp)
-
-
 def _write_csv(path, header, rows):
-    def write(fh):
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    _atomic_write(path, write)
 
 
 def _write_json(path, data):
-    def write(fh):
+    with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _atomic_write(path, write)
 
 
 def _prepare_out(args, csv_files):
@@ -143,67 +142,50 @@ def _prepare_out(args, csv_files):
             % ", ".join(sorted(existing)))
 
 
-def _write_outputs(args, command, cfg, csvs):
-    """Write each (file name, header, rows) CSV, then config.json and the
-    manifest."""
+def _write_outputs(args, result, csvs):
+    """Write each CSV of `csvs`, config.json and the manifest to a temp file
+    next to its path, then rename them all into place, the manifest last,
+    so a run that fails while writing keeps every previous output."""
     os.makedirs(args.out, exist_ok=True)
-    for name, header, rows in csvs:
-        _write_csv(os.path.join(args.out, name), header, rows)
+    cfg = result.config
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": cfg.seed,
         "workers": args.workers,
         "outputs": sorted(name for name, _, _ in csvs),
         "config": cfg.to_dict(),
     }
-    _write_json(os.path.join(args.out, "config.json"), cfg.to_dict())
-    # last, so a manifest only ever lists outputs that were fully written
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    names = [name for name, _, _ in csvs] + ["config.json", "manifest.json"]
+    tmp = {name: os.path.join(args.out, ".%s.%d.tmp" % (name, os.getpid()))
+           for name in names}
+    try:
+        for name, row_type, rows in csvs:
+            _write_csv(tmp[name], row_type._fields, rows(result))
+        _write_json(tmp["config.json"], cfg.to_dict())
+        _write_json(tmp["manifest.json"], manifest)
+        for name in names:
+            os.replace(tmp[name], os.path.join(args.out, name))
+    finally:
+        for path in tmp.values():
+            if os.path.exists(path):  # only after a failure
+                os.remove(path)
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_experiment(args) -> int:
+    _, runner, csvs = _EXPERIMENTS[args.command]
     cfg = _load_config(args)
-    _prepare_out(args, ["trajectories.csv", "gap_cdf.csv"])
-    result = engine.run_convergence_experiment(cfg, workers=args.workers)
-    _write_outputs(args, "convergence", result.config, [
-        ("trajectories.csv",
-         ["realization", "frame", "snr_normalized", "gap", "feedback_bit"],
-         result.trajectory_rows()),
-        ("gap_cdf.csv", ["frames", "gap_threshold", "fraction"],
-         result.cdf_rows())])
-    print("convergence: %d realizations, %d frames -> %s"
-          % (cfg.num_realizations, cfg.num_frames, args.out))
-    return 0
-
-
-def _cmd_ber(args) -> int:
-    cfg = _load_config(args)
-    _prepare_out(args, ["ber.csv"])
-    result = engine.run_ber_experiment(cfg, workers=args.workers)
-    _write_outputs(args, "ber", result.config, [
-        ("ber.csv", ["scheme", "snr_db", "bits", "errors", "ber"],
-         [(r.scheme, r.snr_db, r.bits, r.errors, r.ber)
-          for r in result.rows])])
-    for r in result.rows:
-        print("ber: scheme=%s snr_db=%s bits=%d errors=%d ber=%s"
-              % (r.scheme, _fmt(r.snr_db), r.bits, r.errors, _fmt(r.ber)))
-    return 0
-
-
-def _cmd_tracking(args) -> int:
-    cfg = _load_config(args)
-    _prepare_out(args, ["tracking.csv"])
-    result = engine.run_tracking_experiment(cfg, workers=args.workers)
-    _write_outputs(args, "tracking", result.config, [
-        ("tracking.csv",
-         ["scheme", "beta", "normalized_doppler", "bits", "errors", "ber"],
-         [(r.scheme, r.beta, r.normalized_doppler, r.bits, r.errors, r.ber)
-          for r in result.rows])])
-    for r in result.rows:
-        print("tracking: scheme=%s beta=%s doppler=%s bits=%d errors=%d ber=%s"
-              % (r.scheme, _fmt(r.beta), _fmt(r.normalized_doppler), r.bits,
-                 r.errors, _fmt(r.ber)))
+    _prepare_out(args, [name for name, _, _ in csvs])
+    result = runner(cfg, workers=args.workers)
+    _write_outputs(args, result, csvs)
+    if isinstance(result, engine.GridResult):
+        for row in result.rows:
+            print("%s: %s" % (args.command, " ".join(
+                "%s=%s" % (field, _fmt(value))
+                for field, value in zip(row._fields, row))))
+    else:
+        print("convergence: %d realizations, %d frames -> %s"
+              % (cfg.num_realizations, cfg.num_frames, args.out))
     return 0
 
 
@@ -240,19 +222,11 @@ def _cmd_oracle_check(args) -> int:
     return 2
 
 
-_COMMANDS = {
-    "convergence": _cmd_convergence,
-    "ber": _cmd_ber,
-    "tracking": _cmd_tracking,
-    "oracle-check": _cmd_oracle_check,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

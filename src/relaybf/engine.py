@@ -19,7 +19,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,6 +285,12 @@ def _block_ranges(cfg, total):
 # ---------------------------------------------------------------------------
 # convergence experiment
 
+# like BerRow and TrackingRow, each row type's fields are its CSV's columns
+TrajectoryRow = collections.namedtuple(
+    "TrajectoryRow", "realization frame snr_normalized gap feedback_bit")
+GapCdfRow = collections.namedtuple("GapCdfRow", "frames gap_threshold fraction")
+
+
 @dataclass
 class ConvergenceResult:
     """Normalized-SNR trajectories plus the gap distribution at key frames."""
@@ -301,14 +307,14 @@ class ConvergenceResult:
         n, f = self.snr_normalized.shape
         for r in range(n):
             for k in range(f):
-                yield (r, k, self.snr_normalized[r, k],
-                       1.0 - self.snr_normalized[r, k],
-                       int(self.feedback_bits[r, k]))
+                yield TrajectoryRow(r, k, self.snr_normalized[r, k],
+                                    1.0 - self.snr_normalized[r, k],
+                                    int(self.feedback_bits[r, k]))
 
     def cdf_rows(self):
         for frame in self.config.cdf_frames:
             for thr in self.config.gap_thresholds:
-                yield (frame, thr, self.fraction_below(frame, thr))
+                yield GapCdfRow(frame, thr, self.fraction_below(frame, thr))
 
 
 def _convergence_block(cfg, start, count):
@@ -380,8 +386,7 @@ class GridResult:
     rows: list
 
     def _keyed(self, key):
-        return [(astuple(r)[len(key)], r) for r in self.rows
-                if astuple(r)[:len(key)] == key]
+        return [(r[len(key)], r) for r in self.rows if r[:len(key)] == key]
 
     def curve(self, *key):
         """(the field after `key`, ber) arrays over the rows keyed by `key`."""
@@ -396,16 +401,7 @@ class GridResult:
         raise KeyError(key)
 
 
-@dataclass
-class BerRow:
-    scheme: str
-    snr_db: float
-    bits: int
-    errors: int
-
-    @property
-    def ber(self) -> float:
-        return self.errors / self.bits
+BerRow = collections.namedtuple("BerRow", "scheme snr_db bits errors ber")
 
 
 def _draw_ber_noise(cfg, start, count):
@@ -550,7 +546,9 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
                 active.remove(p)
         if not active:
             break
-    rows = [BerRow(token, float(snr_db), total_bits[p], int(err[p, t]))
+    errors = err.tolist()
+    rows = [BerRow(token, float(snr_db), total_bits[p], errors[p][t],
+                   errors[p][t] / total_bits[p])
             for p, snr_db in enumerate(cfg.snr_db_grid)
             for t, token in enumerate(cfg.schemes)]
     return GridResult(cfg, rows)
@@ -559,17 +557,8 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
 # ---------------------------------------------------------------------------
 # tracking experiment
 
-@dataclass
-class TrackingRow:
-    scheme: str
-    beta: float
-    normalized_doppler: float
-    bits: int
-    errors: int
-
-    @property
-    def ber(self) -> float:
-        return self.errors / self.bits
+TrackingRow = collections.namedtuple(
+    "TrackingRow", "scheme beta normalized_doppler bits errors ber")
 
 
 def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
@@ -732,8 +721,9 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
                                                  workers):
         bits_total += blk_bits
         err_total = err_total + blk_err
+    errors = err_total.tolist()
     rows = [TrackingRow(token, float(beta), float(doppler), bits_total,
-                        int(err_total[t, b, d]))
+                        errors[t][b][d], errors[t][b][d] / bits_total)
             for t, token in enumerate(cfg.schemes)
             for b, beta in enumerate(cfg.betas)
             for d, doppler in enumerate(cfg.normalized_doppler_grid)]

@@ -145,16 +145,23 @@ def test_failed_rerun_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
     assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def failing_rows(self):
-        yield (0, 0, 1.0, 0.0, 0)
-        raise RuntimeError("row generator failed")
+    # a failure in the first CSV, or in the second after the first is
+    # written; the rerun's other seed would change every file it replaced
+    for method in ("trajectory_rows", "cdf_rows"):
+        original = getattr(ConvergenceResult, method)
 
-    monkeypatch.setattr(ConvergenceResult, "trajectory_rows", failing_rows)
-    assert main(["convergence", "--config", cfg, "--out", str(out),
-                 "--force"]) == 2
-    assert "row generator failed" in capsys.readouterr().err
-    # the same files with the same bytes, and no temp file left behind
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        def failing_rows(self, original=original):
+            yield next(original(self))
+            raise RuntimeError("row generator failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ConvergenceResult, method, failing_rows)
+            assert main(["convergence", "--config", cfg, "--out", str(out),
+                         "--force", "--seed", "4"]) == 2
+        assert "row generator failed" in capsys.readouterr().err
+        # the same files with the same bytes, and no temp file left behind
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, \
+            method
 
 
 def test_convergence_worker_count_does_not_change_bytes(tmp_path, capsys):
@@ -199,6 +206,23 @@ def test_tracking_outputs(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("pb-s-sp,0.1,0.05,800,")
     assert "tracking: scheme=pb-s-sp" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,data,name", [
+    ("ber", BER_CFG, "ber.csv"),
+    ("tracking", {**TRACK_CFG, "betas": [0.1, 0.2]}, "tracking.csv"),
+], ids=["ber", "tracking"])
+def test_printed_lines_match_the_csv(tmp_path, capsys, command, data, name):
+    # one `command: column=value ...` line per CSV row, in order
+    cfg = _cfg_file(tmp_path, data)
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / name).read_text().splitlines()
+    expected = ["%s: %s" % (command, " ".join(
+        "%s=%s" % pair for pair in zip(header.split(","), row.split(","))))
+        for row in rows]
+    assert len(expected) == 2
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize("bad", [
