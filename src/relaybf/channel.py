@@ -80,20 +80,13 @@ def sample_static_rayleigh(rng, path_loss):
     return _static_rayleigh(z, path_loss.variances)
 
 
-def _oscillator_angles(num_oscillators):
-    # Midpoint grid on the half circle: every oscillator gets a distinct
-    # Doppler shift (no mirrored duplicates), and the ensemble autocorrelation
-    # is the Bessel integral evaluated by midpoint quadrature.
-    return np.pi * (np.arange(num_oscillators) + 0.5) / num_oscillators
-
-
 class JakesBank:
     """Stack of independent fading processes sharing one oscillator grid.
 
     Process n is amplitude_n / sqrt(M) * sum_m exp(j(omega_m t + phi_nm))
-    on the symbol clock t, with omega_m = 2 pi (normalized_doppler /
-    symbols_per_frame) cos(pi (m + 1/2) / M).  ``normalized_doppler`` is the
-    Doppler frequency in Hz times the frame duration in seconds.
+    on the symbol clock t, with omega_m = 2 pi doppler cos(pi (m + 1/2) / M).
+    ``doppler`` is the Doppler frequency in Hz times the symbol duration in
+    seconds: a frame's normalized Doppler divided by its symbol count.
     ``phases`` has shape (*proc_shape, M), and blocks come back shaped
     (*proc_shape, count); phases shaped (M,) give a single process.  Built
     either from explicit phases (so callers can draw each process from its
@@ -101,37 +94,33 @@ class JakesBank:
     regress below the last sampled index.
     """
 
-    def __init__(self, phases, normalized_doppler, amplitudes, symbols_per_frame=50):
+    def __init__(self, phases, doppler, amplitudes):
         phases = np.asarray(phases, dtype=float)
-        if normalized_doppler < 0:
-            raise ValueError("normalized_doppler must be >= 0")
+        if not 0 <= doppler < np.inf:
+            raise ValueError("doppler must be finite and >= 0")
         if phases.shape[-1] < MIN_NUM_OSCILLATORS:
             raise ValueError("num_oscillators must be >= %d" % MIN_NUM_OSCILLATORS)
-        if symbols_per_frame < 1:
-            raise ValueError("symbols_per_frame must be >= 1")
         self.phases = phases
-        self.normalized_doppler = float(normalized_doppler)
-        self.symbols_per_frame = int(symbols_per_frame)
         self.amplitudes = np.broadcast_to(
             np.asarray(amplitudes, dtype=float), phases.shape[:-1]).copy()
-        self.angles = _oscillator_angles(phases.shape[-1])
-        self.omega = 2.0 * np.pi * self.doppler_per_symbol * np.cos(self.angles)
+        # midpoint grid on the half circle: every oscillator gets a distinct
+        # Doppler shift (no mirrored duplicates), and the ensemble
+        # autocorrelation is the Bessel integral by midpoint quadrature
+        m = phases.shape[-1]
+        angles = np.pi * (np.arange(m) + 0.5) / m
+        self.omega = 2.0 * np.pi * float(doppler) * np.cos(angles)
         self._rot = None  # (count, rotations) of the last block length
         self.symbol_clock = 0
 
     @classmethod
-    def draw(cls, rng, shape, normalized_doppler, amplitudes,
-             num_oscillators=DEFAULT_NUM_OSCILLATORS, symbols_per_frame=50):
+    def draw(cls, rng, shape, doppler, amplitudes,
+             num_oscillators=DEFAULT_NUM_OSCILLATORS):
         phases = rng.uniform(0.0, 2.0 * np.pi, size=tuple(shape) + (num_oscillators,))
-        return cls(phases, normalized_doppler, amplitudes, symbols_per_frame)
+        return cls(phases, doppler, amplitudes)
 
     @property
     def num_oscillators(self) -> int:
         return int(self.phases.shape[-1])
-
-    @property
-    def doppler_per_symbol(self) -> float:
-        return self.normalized_doppler / self.symbols_per_frame
 
     def block(self, start_index, count):
         if start_index < self.symbol_clock:

@@ -17,7 +17,7 @@ from operator import attrgetter, methodcaller
 
 import numpy as np
 
-from . import __version__, engine, network, oracles
+from . import __version__, config, engine, network, oracles
 from .config import ConfigError, ExperimentConfig
 
 ORACLE_CHECK_VECTORS = 20000
@@ -191,7 +191,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    noise_power = cfg.single_noise_power("oracle-check")
+    noise_power = config.noise_power(cfg.single("snr_db_grid", "oracle-check"))
     h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
     # the margins below are ratios to the closed forms' objectives, which

@@ -78,7 +78,7 @@ def _as_list(value, name, item):
 
 
 # integer fields -> least value
-_INT_MINIMA = {"num_relays": 1, "num_realizations": 1, "num_frames": 1,
+_INT_MINIMA = {"num_realizations": 1, "num_frames": 1,
                "warmup_frames": 0, "seed": 0, "num_pilots": 1, "num_data": 1,
                "error_target": 1, "min_bits": 0, "bits_cap": 1,
                "block_size": 1, "num_trajectories": 0}
@@ -93,12 +93,10 @@ class ExperimentConfig:
     """Declarative experiment description; see README for the JSON schema."""
 
     scheme: Scheme = Scheme.TR
-    beta: float = 0.1
-    betas: list = None
+    betas: list = field(default_factory=lambda: [0.1])
     snr_db_grid: list = field(default_factory=lambda: [18.0])
     normalized_doppler_grid: list = field(
         default_factory=lambda: [0.001, 0.003, 0.01, 0.03, 0.1])
-    num_relays: int = 3
     distances: list = field(default_factory=lambda: [1.0, 3.0, 5.0])
     num_realizations: int = 1000
     num_frames: int = 100
@@ -127,11 +125,9 @@ class ExperimentConfig:
             if value < least:
                 raise ConfigError("%s must be >= %d" % (name, least))
             setattr(self, name, value)
-        for name in ("beta", "forgetting_factor"):
-            setattr(self, name, _as_real(getattr(self, name), name))
+        self.forgetting_factor = _as_real(self.forgetting_factor,
+                                          "forgetting_factor")
         # None stands for a default derived from other keys
-        if self.betas is None:
-            self.betas = [self.beta]
         if self.cdf_frames is None:
             self.cdf_frames = [f for f in _DEFAULT_CDF_FRAMES if f <= self.num_frames]
         if self.gap_thresholds is None:
@@ -140,8 +136,6 @@ class ExperimentConfig:
         for name, item in _LIST_FIELDS.items():
             setattr(self, name, _as_list(getattr(self, name), name, item))
         # a larger step overflows |w + beta*q|^2 in the projection
-        if not 0 < self.beta <= _MAX_BETA:
-            raise ConfigError("beta must be in (0, 1e150]")
         if not self.betas or any(not 0 < b <= _MAX_BETA for b in self.betas):
             raise ConfigError("betas must be non-empty, all in (0, 1e150]")
         if not self.snr_db_grid:
@@ -153,9 +147,8 @@ class ExperimentConfig:
         if not self.normalized_doppler_grid \
                 or any(d < 0 for d in self.normalized_doppler_grid):
             raise ConfigError("normalized_doppler_grid must be non-empty, all >= 0")
-        if len(self.distances) != self.num_relays \
-                or any(d <= 0 for d in self.distances):
-            raise ConfigError("distances must list one positive value per relay")
+        if not self.distances or any(d <= 0 for d in self.distances):
+            raise ConfigError("distances must be non-empty, all > 0")
         # a relay's mean |h*g|^2, d**-4, and its inverse must be normal floats
         if any(abs(math.log(d)) > -math.log(np.finfo(float).tiny) / 4
                for d in self.distances):
@@ -164,8 +157,6 @@ class ExperimentConfig:
             raise ConfigError("forgetting_factor must be in (0, 1]")
         if self.pm_estimation_mode not in ("split", "whole"):
             raise ConfigError("pm_estimation_mode must be 'split' or 'whole'")
-        if self.scheme is Scheme.PM and self.num_pilots % 2:
-            raise ConfigError("PM needs an even pilot count >= 2")
         if self.schemes is not None:
             if not isinstance(self.schemes, (list, tuple)) or not self.schemes:
                 raise ConfigError("schemes must be a non-empty list of scheme "
@@ -182,6 +173,11 @@ class ExperimentConfig:
         if any(t <= 0 for t in self.gap_thresholds):
             raise ConfigError("gap_thresholds must be > 0")
 
+    @property
+    def num_relays(self) -> int:
+        """R, one relay per entry of `distances`."""
+        return len(self.distances)
+
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
@@ -197,8 +193,9 @@ class ExperimentConfig:
     def to_dict(self):
         return {**asdict(self), "scheme": self.scheme.value}
 
-    def single_noise_power(self, command):
-        """The noise power of the one SNR point that `command` runs on."""
-        if len(self.snr_db_grid) != 1:
-            raise ConfigError("%s uses a single snr_db_grid entry" % command)
-        return noise_power(self.snr_db_grid[0])
+    def single(self, key, command):
+        """The one entry of the list `key` that `command` runs on."""
+        values = getattr(self, key)
+        if len(values) != 1:
+            raise ConfigError("%s uses a single %s entry" % (command, key))
+        return values[0]

@@ -196,13 +196,14 @@ def _pm_batch(w, frame_index, beta, pset, constraint, snr,
 
 def _adapt(cfg, pset, frame_index, w, best, snr, constraint,
            hbar, gbar2, noise_power):
-    """(w, best, bit) after one `cfg.scheme` frame; PM leaves `best` as is.
-    `snr` selects the SNR-scored entries, as in `_objective_batch`."""
+    """(w, best, bit) after one `cfg.scheme` frame at the one step in
+    `cfg.betas`; PM leaves `best` as is.  `snr` as in `_objective_batch`."""
+    (beta,) = cfg.betas
     if cfg.scheme is Scheme.TR:
-        return _tr_batch(w, best, frame_index, cfg.beta, pset, constraint,
+        return _tr_batch(w, best, frame_index, beta, pset, constraint,
                          snr, hbar, gbar2, noise_power,
                          cfg.forgetting_factor)
-    w, bit = _pm_batch(w, frame_index, cfg.beta, pset, constraint, snr,
+    w, bit = _pm_batch(w, frame_index, beta, pset, constraint, snr,
                        hbar, gbar2, noise_power)
     return w, best, bit
 
@@ -320,7 +321,7 @@ class ConvergenceResult:
 def _convergence_block(cfg, start, count):
     r = cfg.num_relays
     constraint = SCHEMES["pb-s-sp"][1]
-    noise_power = cfg.single_noise_power("convergence")
+    noise_power = config.noise_power(cfg.single("snr_db_grid", "convergence"))
     h, g = _draw_channels(cfg, start, count)
     hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
                                         noise_power)
@@ -358,7 +359,8 @@ def _convergence_block(cfg, start, count):
 
 def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceResult:
     """Idealized pb-s-sp adaptation against the exact s-sp oracle."""
-    cfg.single_noise_power("convergence")  # fails before any block starts
+    cfg.single("snr_db_grid", "convergence")  # fails before any block starts
+    cfg.single("betas", "convergence")
     n = cfg.num_realizations
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
     parts = []
@@ -521,6 +523,7 @@ def run_ber_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
     A block covers every point still accumulating when it starts; points
     are told apart by position, so a repeated SNR value gets its own row.
     """
+    cfg.single("betas", "ber")
     cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_BER_SCHEMES))
     bits_per_real = cfg.num_frames * cfg.num_data
     cap = min(cfg.num_realizations,
@@ -635,7 +638,7 @@ def _tracking_block(cfg, start, count):
     and errors shaped (schemes, betas, dopplers).
     """
     r = cfg.num_relays
-    noise_power = cfg.single_noise_power("tracking")
+    noise_power = config.noise_power(cfg.single("snr_db_grid", "tracking"))
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
     segments = (slice(0, lp // 2), slice(lp // 2, lp), slice(lp, s_total))
@@ -649,7 +652,7 @@ def _tracking_block(cfg, start, count):
     # the noise streams stay alive across frames
     rngs = [_stream(cfg.seed, i, _STREAM_NOISE)
             for i in range(start, start + count)]
-    banks = [JakesBank(phases, doppler, amps, symbols_per_frame=s_total)
+    banks = [JakesBank(phases, float(doppler) / s_total, amps)
              for doppler in cfg.normalized_doppler_grid]
     grid = (len(cfg.betas), len(banks), count)
     betas = np.array([float(b) for b in cfg.betas])[:, None, None]
@@ -697,11 +700,13 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
     """
     if cfg.scheme is not Scheme.PM:
         raise ConfigError("tracking uses the PM scheme")
-    cfg.single_noise_power("tracking")
+    cfg.single("snr_db_grid", "tracking")
     cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_TRACKING_SCHEMES))
     bad = [t for t in cfg.schemes if SCHEMES[t][0] is None]
     if bad:
         raise ConfigError("tracking supports adaptive schemes only, got %r" % bad)
+    if cfg.num_pilots % 2:
+        raise ConfigError("PM needs an even pilot count >= 2")
     if cfg.num_pilots < 4 \
             and any(SCHEMES[t][0] is Objective.SNR for t in cfg.schemes):
         # one pilot per half leaves no residual: every probe scores SNR_MAX

@@ -15,7 +15,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,27 +39,36 @@ class BirthMessage:
 
 @dataclass
 class RelayRegistry:
-    """Which of the Rmax provisioned relay slots are currently active."""
+    """Which of the Rmax provisioned relay slots are active, as a mask."""
 
-    max_relays: int
     active: np.ndarray
 
     def __post_init__(self):
         self.active = np.asarray(self.active, dtype=bool)
-        if self.max_relays < 1:
-            raise ValueError("max_relays must be >= 1")
-        if self.active.shape != (self.max_relays,):
-            raise ValueError("active mask must have length max_relays")
+        if self.active.ndim != 1 or self.active.size < 1:
+            raise ValueError("active mask must be a non-empty 1-D sequence")
 
     @classmethod
     def full(cls, max_relays):
-        return cls(max_relays, np.ones(max_relays, dtype=bool))
+        return cls(np.ones(max_relays, dtype=bool))
 
     @classmethod
     def from_indices(cls, max_relays, indices):
-        mask = np.zeros(max_relays, dtype=bool)
-        mask[list(indices)] = True
-        return cls(max_relays, mask)
+        reg = cls(np.zeros(max_relays, dtype=bool))
+        for index in indices:
+            reg.active[reg._checked(index)] = True
+        return reg
+
+    @property
+    def max_relays(self) -> int:
+        return int(self.active.size)
+
+    def _checked(self, index):
+        """`index`, if it names a slot (numpy would wrap a negative one)."""
+        if not 0 <= index < self.max_relays:
+            raise ProtocolError("relay index %d is outside [0, %d)"
+                                % (index, self.max_relays))
+        return index
 
     @property
     def num_active(self) -> int:
@@ -71,22 +79,22 @@ class RelayRegistry:
 
     def position_of(self, index) -> int:
         """Rank of a relay among the active set (its weight-vector slot)."""
-        if not self.active[index]:
+        if not self.active[self._checked(index)]:
             raise ProtocolError("relay %d is not active" % index)
         return int(np.count_nonzero(self.active[:index]))
 
     def copy(self):
-        return RelayRegistry(self.max_relays, self.active.copy())
+        return RelayRegistry(self.active.copy())
 
 
 def index_bits(max_relays) -> int:
     """Payload width of a death broadcast."""
-    return int(math.ceil(math.log2(max_relays))) if max_relays > 1 else 0
+    return (int(max_relays) - 1).bit_length() if max_relays > 1 else 0
 
 
 def apply_death(reg: RelayRegistry, index) -> tuple[RelayRegistry, DeathMessage]:
     """Deactivate one relay; at least one relay must survive."""
-    if index < 0 or index >= reg.max_relays or not reg.active[index]:
+    if not reg.active[reg._checked(index)]:
         raise ProtocolError("death of a relay that is not active")
     if reg.num_active < 2:
         raise ProtocolError("the last active relay cannot leave")
@@ -97,7 +105,7 @@ def apply_death(reg: RelayRegistry, index) -> tuple[RelayRegistry, DeathMessage]
 
 def apply_birth(reg: RelayRegistry, index) -> tuple[RelayRegistry, BirthMessage]:
     """Activate one provisioned relay slot."""
-    if index < 0 or index >= reg.max_relays or reg.active[index]:
+    if reg.active[reg._checked(index)]:
         raise ProtocolError("birth of a relay that is already active")
     out = reg.copy()
     out.active[index] = True

@@ -69,7 +69,7 @@ BER_GRID = [8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0]
 @pytest.fixture(scope="module")
 def ber_result():
     cfg = ExperimentConfig(
-        scheme="pm", beta=0.1, snr_db_grid=BER_GRID,
+        scheme="pm", betas=[0.1], snr_db_grid=BER_GRID,
         distances=DISTANCES, num_realizations=16000, num_frames=25,
         warmup_frames=300, error_target=10**9, min_bits=0,
         bits_cap=16_000_000, block_size=1000, seed=SEED)
@@ -93,7 +93,7 @@ def test_criterion_01_convergence_fractions():
     fractions = {}
     for scheme, frame in (("pm", 40), ("tr", 70)):
         cfg = ExperimentConfig(
-            scheme=scheme, beta=0.1, snr_db_grid=[SNR_DB],
+            scheme=scheme, betas=[0.1], snr_db_grid=[SNR_DB],
             distances=DISTANCES, num_realizations=10_000, num_frames=frame,
             cdf_frames=[frame], num_trajectories=0, block_size=2500,
             seed=SEED)
@@ -229,7 +229,7 @@ def test_criterion_07_estimator_variance():
 def test_criterion_08_jakes_autocorrelation():
     fd = 0.02  # per symbol
     bank = JakesBank.draw(np.random.default_rng(SEED), (100_000,), fd, 1.0,
-                          num_oscillators=32, symbols_per_frame=1)
+                          num_oscillators=32)
     lags = int(np.floor(2.405 / (2 * np.pi * fd)))  # up to the first zero
     blk = bank.block(0, lags + 1)
     ac = np.mean(blk[:, 1:] * np.conj(blk[:, :1]), axis=0)

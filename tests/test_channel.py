@@ -80,12 +80,14 @@ def test_jakes_bank_validation():
         JakesBank.draw(rng, (), -0.1, 1.0)
     with pytest.raises(ValueError):
         JakesBank.draw(rng, (), 0.1, 1.0, num_oscillators=4)
-    with pytest.raises(ValueError):
-        JakesBank.draw(rng, (), 0.1, 1.0, symbols_per_frame=0)
-    bank = JakesBank.draw(rng, (), 0.05, 2.0, symbols_per_frame=50)
+    # NaN and inf passed a `< 0` check and gave all-NaN fading
+    for doppler in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            JakesBank.draw(rng, (), doppler, 1.0)
+    bank = JakesBank.draw(rng, (), 0.001, 2.0)
     assert bank.phases.shape == (32,)
     assert bank.num_oscillators == 32
-    assert bank.doppler_per_symbol == pytest.approx(0.001)
+    assert bank.omega[0] == 2.0 * np.pi * 0.001 * np.cos(np.pi / 64)
 
 
 def test_jakes_zero_doppler_is_constant():
@@ -97,13 +99,13 @@ def test_jakes_zero_doppler_is_constant():
 
 @settings(max_examples=100)
 @given(cuts=st.lists(st.integers(1, 63), max_size=6),
-       doppler=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+       doppler=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1))
 def test_jakes_block_continuity(cuts, doppler, seed):
     # any split of [0, n) into consecutive blocks gives the same samples
     n = 64
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (3, 32))
-    whole = JakesBank(phases, doppler, 1.5, symbols_per_frame=10).block(0, n)
-    bank = JakesBank(phases, doppler, 1.5, symbols_per_frame=10)
+    whole = JakesBank(phases, doppler, 1.5).block(0, n)
+    bank = JakesBank(phases, doppler, 1.5)
     edges = sorted(set(cuts) | {0, n})
     parts = [bank.block(a, b - a) for a, b in zip(edges, edges[1:])]
     np.testing.assert_allclose(np.concatenate(parts, axis=-1), whole,
@@ -122,21 +124,20 @@ def test_jakes_clock_must_advance():
 @settings(max_examples=100)
 @given(shape=st.sampled_from([(), (3,), (2, 2)]), m=st.integers(8, 40),
        doppler=st.floats(0.0, 0.5), amplitude=st.floats(0.1, 3.0),
-       symbols_per_frame=st.integers(1, 60), start=st.integers(0, 500),
-       count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+       start=st.integers(0, 500), count=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
 def test_jakes_bank_matches_scalar_process(shape, m, doppler, amplitude,
-                                           symbols_per_frame, start, count,
-                                           seed):
+                                           start, count, seed):
     # every process, the single one of phases shaped (M,) included, is
     # amplitude/sqrt(M) * sum_m exp(j(omega_m t + phi_m)) with the
     # oscillator angles on the midpoint grid of the half circle
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi,
                                                  shape + (m,))
-    bank = JakesBank(phases, doppler, amplitude, symbols_per_frame)
+    bank = JakesBank(phases, doppler, amplitude)
     block = bank.block(start, count)
     assert block.shape == shape + (count,)
     angles = np.pi * (np.arange(m) + 0.5) / m
-    omega = 2.0 * np.pi * doppler / symbols_per_frame * np.cos(angles)
+    omega = 2.0 * np.pi * doppler * np.cos(angles)
     for idx in np.ndindex(*shape):
         ref = np.zeros(count, dtype=complex)
         for k, t in enumerate(range(start, start + count)):
@@ -149,7 +150,7 @@ def test_jakes_bank_matches_scalar_process(shape, m, doppler, amplitude,
 def test_jakes_bank_amplitude_broadcast():
     rng = np.random.default_rng(8)
     amps = np.array([1.0, 0.5])
-    bank = JakesBank.draw(rng, (200, 2), 0.1, amps, symbols_per_frame=50)
+    bank = JakesBank.draw(rng, (200, 2), 0.1 / 50, amps)
     block = bank.block(0, 200)
     emp = np.mean(np.abs(block) ** 2, axis=(0, 2))
     assert emp[0] / emp[1] == pytest.approx(4.0, rel=0.2)
@@ -158,7 +159,7 @@ def test_jakes_bank_amplitude_broadcast():
 def test_jakes_autocorrelation_tracks_bessel():
     doppler = 0.02
     rng = np.random.default_rng(9)
-    bank = JakesBank.draw(rng, (20_000,), doppler, 1.0, symbols_per_frame=1)
+    bank = JakesBank.draw(rng, (20_000,), doppler, 1.0)
     lags = np.arange(20)
     block = bank.block(0, lags.size)
     emp = np.mean(block * np.conj(block[:, :1]), axis=0)

@@ -68,11 +68,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
 
 _INVALID_NUMBERS = [
     # accepted before strict validation, with meaningless rows
-    ({"beta": float("nan"), "schemes": ["pb-s-sp"]}, ""),
+    ({"betas": [float("nan")], "schemes": ["pb-s-sp"]}, ""),
     ({"snr_db_grid": [float("inf")]}, ""),
     # TypeError or OverflowError tracebacks before strict validation
     ({"num_frames": 2.5}, ""),
-    ({"num_relays": True, "distances": [1.0]}, ""),
+    ({"num_data": True}, ""),
     ({"snr_db_grid": [-1e6]}, ""),
     # every compound channel underflowed to 0: exit 0, meaningless counts
     ({"distances": [1e100, 1e100, 1e100]}, ""),
@@ -84,7 +84,8 @@ _INVALID_NUMBERS = [
     ({"snr_db_grid": [-300.0], "distances": [1e76, 1e76, 1e76]},
      "the s-sp SNR is not finite and positive"),
     # |w + beta*q|^2 overflowed: a warning on exit 0
-    ({"beta": 1e155, "schemes": ["pb-s-sp"]}, "beta must be in (0, 1e150]"),
+    ({"betas": [1e155], "schemes": ["pb-s-sp"]},
+     "betas must be non-empty, all in (0, 1e150]"),
     ({"betas": [0.1, 1e151]}, "betas must be non-empty, all in (0, 1e150]"),
 ]
 
@@ -232,6 +233,9 @@ def test_printed_lines_match_the_csv(tmp_path, capsys, command, data, name):
     {"scenario": "realistic"},
     {"objective": "snr"},
     {"constraint": "sum-power"},
+    # R is len(distances), and every command reads its steps from betas
+    {"num_relays": 3},
+    {"beta": 0.1},
 ], ids=lambda bad: next(iter(bad)))
 def test_tracking_rejects_mismatched_scenario(tmp_path, capsys, bad):
     cfg = _cfg_file(tmp_path, {**TRACK_CFG, **bad})
@@ -239,6 +243,31 @@ def test_tracking_rejects_mismatched_scenario(tmp_path, capsys, bad):
     assert main(["tracking", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "scheme" not in bad:
+        assert err == "error: unknown config keys: %s\n" % next(iter(bad))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["convergence", "ber"])
+def test_idealized_commands_take_a_single_beta(tmp_path, capsys, command):
+    data = {"convergence": CONV_CFG, "ber": BER_CFG}[command]
+    cfg = _cfg_file(tmp_path, {**data, "betas": [0.1, 0.5]})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err \
+        == "error: %s uses a single betas entry\n" % command
+    assert not out.exists()
+
+
+def test_even_pilot_count_is_a_tracking_rule(tmp_path, capsys):
+    # ber and convergence send no pilots, so an odd count is theirs to ignore
+    cfg = _cfg_file(tmp_path, {**BER_CFG, "scheme": "pm", "num_pilots": 3})
+    assert main(["ber", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    cfg = _cfg_file(tmp_path, {**TRACK_CFG, "num_pilots": 3}, "track.json")
+    out = tmp_path / "t"
+    assert main(["tracking", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err \
+        == "error: PM needs an even pilot count >= 2\n"
     assert not out.exists()
 
 
@@ -327,7 +356,6 @@ def _cli_configs(draw):
     """Config objects that are mostly valid, with wide numbers and, in a
     quarter of them, one key replaced by arbitrary JSON.  The sizes are
     small, and always present so that no default size applies."""
-    r = draw(st.integers(1, 4))
     frames = draw(st.integers(1, 3))
     data = {
         "num_realizations": draw(st.integers(1, 5)), "num_frames": frames,
@@ -337,14 +365,12 @@ def _cli_configs(draw):
         "block_size": draw(st.integers(1, 3)),
         "num_trajectories": draw(st.integers(0, 3)),
         "scheme": draw(st.sampled_from(["pm", "pm", "tr"])),
-        "num_relays": r,
         # log-uniform over and past the range that keeps d**-4 normal
         "distances": [10.0 ** e for e in draw(
-            st.lists(st.floats(-78.0, 78.0), min_size=r, max_size=r))],
+            st.lists(st.floats(-78.0, 78.0), min_size=1, max_size=4))],
         "snr_db_grid": draw(st.lists(_WIDE, min_size=1, max_size=2)),
     }
     optional = {
-        "beta": _POSITIVE,
         "betas": st.lists(_POSITIVE, min_size=1, max_size=2),
         "normalized_doppler_grid": st.lists(st.floats(0.0, 1.0) | _POSITIVE,
                                             min_size=1, max_size=2),
@@ -386,8 +412,8 @@ _SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
 # |w + beta*q|^2 overflows in the sum-power projection
 @example(data={"num_realizations": 1, "num_frames": 1, "warmup_frames": 0,
                "num_pilots": 1, "num_data": 1, "block_size": 1,
-               "num_trajectories": 0, "scheme": "tr", "num_relays": 1,
-               "distances": [1.0], "snr_db_grid": [0.0], "beta": 1e155})
+               "num_trajectories": 0, "scheme": "tr", "distances": [1.0],
+               "snr_db_grid": [0.0], "betas": [1e155]})
 # each relay's SNR overflows to inf: the s-sp check must not warn first
 @example(data={**_SMALL, "scheme": "pm", "snr_db_grid": [2547.0],
                "distances": [1e-27] * 3})

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import operator
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -57,18 +58,15 @@ _COUNT = st.integers(1, 10**6)
 @st.composite
 def _valid_config_dicts(draw):
     """Valid config JSON objects; keys left out take their defaults."""
-    r = draw(st.integers(1, 8))
     frames = draw(_COUNT)
     data = {
         "scheme": draw(st.sampled_from(["tr", "pm"])),
-        "beta": draw(_BETA),
-        "betas": draw(st.none() | st.lists(_BETA, min_size=1, max_size=3)),
+        "betas": draw(st.lists(_BETA, min_size=1, max_size=3)),
         "snr_db_grid": draw(st.lists(st.floats(-300.0, 300.0), min_size=1,
                                      max_size=4)),
         "normalized_doppler_grid": draw(st.lists(st.floats(0.0, 1.0),
                                                  min_size=1, max_size=4)),
-        "num_relays": r,
-        "distances": draw(st.lists(_DISTANCE, min_size=r, max_size=r)),
+        "distances": draw(st.lists(_DISTANCE, min_size=1, max_size=8)),
         "num_realizations": draw(_COUNT),
         "num_frames": frames,
         "warmup_frames": draw(st.integers(0, 10**6)),
@@ -88,11 +86,10 @@ def _valid_config_dicts(draw):
         "gap_thresholds": draw(st.none() | st.lists(_POSITIVE, max_size=5)),
         "num_trajectories": draw(st.integers(0, 100)),
     }
-    # relays and distances, and frames and cdf_frames, are kept together
-    optional = sorted(set(data) - {"num_relays", "distances", "num_frames"})
+    # frames and cdf_frames are kept together
+    optional = sorted(set(data) - {"num_frames"})
     keep = draw(st.sets(st.sampled_from(optional)))
-    return {k: v for k, v in data.items() if k in keep
-            or k in ("num_relays", "distances", "num_frames")}
+    return {k: v for k, v in data.items() if k in keep or k == "num_frames"}
 
 
 _JSON = st.recursive(
@@ -101,8 +98,9 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
 # the schema, plus the keys that select nothing since the command fixes the
-# scenario and each scheme token its objective and constraint
-_REMOVED_KEYS = ("scenario", "objective", "constraint")
+# scenario and each scheme token its objective and constraint, and the keys
+# that stated an input twice: R is len(distances), every step is in betas
+_REMOVED_KEYS = ("scenario", "objective", "constraint", "num_relays", "beta")
 _KEYS = [f.name for f in fields(ExperimentConfig)] + list(_REMOVED_KEYS)
 _SHIPPED = Path(__file__).resolve().parents[1] / "configs"
 
@@ -139,16 +137,16 @@ def test_config_round_trip_and_unknown_keys(valid, anything):
 
 
 _BAD_CONFIGS = [
-    ({"beta": 0.0}, None),
-    ({"scheme": "pm", "num_pilots": 9}, None),
-    ({"distances": [1.0, 2.0]}, None),
+    ({"betas": [0.0]}, None),
+    ({"distances": []}, "distances must be non-empty, all > 0"),
+    ({"distances": [1.0, 0.0]}, None),
     ({"schemes": ["no-bf", "bogus"]}, None),
     ({"scheme": "take-reject"}, None),
     ({"forgetting_factor": 0.0}, None),
     ({"cdf_frames": [5, 999]}, None),
     ({"snr_db_grid": []}, None),
     ({"seed": -1}, None),
-    ({"beta": float("nan")}, None),
+    ({"betas": [float("nan")]}, None),
     ({"betas": []}, None),
     ({"betas": [0.1, float("inf")]}, None),
     ({"distances": [1.0, 3.0, float("inf")]}, None),
@@ -162,7 +160,7 @@ _BAD_CONFIGS = [
     ({"snr_db_grid": 18.0}, None),
     ({"num_frames": 2.5}, None),
     ({"num_frames": "30"}, None),
-    ({"num_relays": True}, None),
+    ({"num_data": True}, None),
     ({"cdf_frames": [10.5]}, None),
     ({"schemes": ["p-sp", "p-sp"]}, None),
     ({"schemes": []}, "schemes must be a non-empty list of scheme tokens"),
@@ -177,7 +175,7 @@ def test_config_rejects_bad_values(bad, match):
 
 
 # integer key -> its least value
-_INT_MINIMA = {"num_relays": 1, "num_realizations": 1, "num_frames": 1,
+_INT_MINIMA = {"num_realizations": 1, "num_frames": 1,
                "warmup_frames": 0, "seed": 0, "num_pilots": 1, "num_data": 1,
                "error_target": 1, "min_bits": 0, "bits_cap": 1,
                "block_size": 1, "num_trajectories": 0}
@@ -193,7 +191,7 @@ def test_config_range_message_names_one_key(key):
 
 @settings(max_examples=100)
 @given(valid=_valid_config_dicts(), as_tuples=st.booleans())
-@example(valid={"num_relays": 1, "distances": [1.0], "num_frames": 1,
+@example(valid={"distances": [1.0], "num_frames": 1,
                 "schemes": ["p-sp"]}, as_tuples=True)
 def test_config_survives_a_json_round_trip(valid, as_tuples):
     # a config built from tuples equals the one read back from its JSON
@@ -203,6 +201,23 @@ def test_config_survives_a_json_round_trip(valid, as_tuples):
     cfg = ExperimentConfig.from_dict(valid)
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) \
         == cfg
+
+
+def _readme_section(title):
+    text = (_SHIPPED.parent / "README.md").read_text()
+    return text.split("\n## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_configuration_names_exactly_the_schema():
+    # every key is documented, and no bullet documents a key that is gone
+    section = _readme_section("Configuration")
+    keys = {f.name for f in fields(ExperimentConfig)}
+    assert not keys - set(re.findall(r"`(\w+)`", section))
+    for bullet in re.split(r"\n- ", section)[1:]:
+        # the leading backticked names, once the defaults in parentheses
+        # are dropped
+        lead = re.match(r"(?:`\w+`[\s,]*)*", re.sub(r"\([^)]*\)", "", bullet))
+        assert set(re.findall(r"`(\w+)`", lead.group())) <= keys, bullet
 
 
 def test_config_converts_integral_floats():
@@ -468,7 +483,7 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
     # bits.
     cdf_frames = data.draw(st.lists(st.integers(0, frames), max_size=3))
     cfg = ExperimentConfig(
-        scheme=scheme, num_relays=r, distances=[1.0 + i for i in range(r)],
+        scheme=scheme, distances=[1.0 + i for i in range(r)],
         num_realizations=n, num_frames=frames, block_size=block_size,
         num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed)
     res = run_convergence_experiment(cfg)
@@ -635,7 +650,7 @@ def test_ber_scheme_stack_matches_each_scheme_alone(schemes, scheme,
     # The adaptive schemes of one constraint advance on one weight stack;
     # each scheme's errors must equal a block of that scheme alone.
     cfg = ExperimentConfig(
-        scheme=scheme, forgetting_factor=forgetting, num_relays=r,
+        scheme=scheme, forgetting_factor=forgetting,
         distances=[1.0 + 0.5 * i for i in range(r)], snr_db_grid=[0.0, 8.0],
         schemes=schemes, num_frames=3, warmup_frames=4, num_data=8,
         seed=seed)
@@ -799,7 +814,7 @@ def test_realistic_pm_detection_uses_previous_winner():
     # split mode: the data interval of frame k+1 is detected with the
     # estimate that won frame k; frame 0 bootstraps from its own winner.
     rng = np.random.default_rng(8)
-    bank = JakesBank.draw(rng, (1, 4), 0.01, 1.0)
+    bank = JakesBank.draw(rng, (1, 4), 0.01 / 50, 1.0)
     pset = build_perturbation_set(2, Scheme.PM)
     w = init_weights(2, SUM)
     ws, carry = w[:, None], None
@@ -884,7 +899,7 @@ def test_draw_channels_match_the_scalar_draws(r, seed, start, count,
     # the block fold and block seeding give the bits of one scalar draw per
     # realization
     distances = [10.0 ** e for e in exponents[:r]]
-    cfg = ExperimentConfig(num_relays=r, distances=distances, seed=seed)
+    cfg = ExperimentConfig(distances=distances, seed=seed)
     h, g = engine._draw_channels(cfg, start, count)
     assert h.shape == g.shape == (r, count)
     assert h.flags.c_contiguous and g.flags.c_contiguous

@@ -36,6 +36,18 @@ def test_index_bits_values():
     assert [index_bits(r) for r in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 
 
+def test_index_bits_are_exact_past_float_precision():
+    # ceil(log2(Rmax)) in floats gave 60 bits at Rmax = 2**60 + 1, so the
+    # encoder wrote a wire the decoder rejected
+    for k in range(1, 71):
+        for rmax, nbits in ((2**k, k), (2**k + 1, k + 1)):
+            assert index_bits(rmax) == nbits
+            msg = DeathMessage(rmax - 1)
+            wire = encode_message(msg, rmax)
+            assert len(wire) == 1 + nbits
+            assert decode_message(wire, rmax) == msg
+
+
 def test_encode_frozen_strings():
     assert encode_message(DeathMessage(3), 5) == "0011"
     assert encode_message(BirthMessage((True, False, True, True, False)), 5) == "110110"
@@ -96,6 +108,30 @@ def test_registry_operations():
     clone = reg.copy()
     clone.active[0] = False
     assert reg.active[0]
+
+
+def test_registry_is_its_mask():
+    reg = RelayRegistry([True, False, True])
+    assert reg.max_relays == 3
+    assert list(reg.active_indices()) == [0, 2]
+    for bad in ([], [[True]]):
+        with pytest.raises(ValueError):
+            RelayRegistry(bad)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_indices_outside_the_slots_are_rejected(index):
+    # numpy reads -1 as the last slot: from_indices activated relay 2 and
+    # position_of(-1) returned relay 2's rank
+    full = RelayRegistry.full(3)
+    partial = RelayRegistry.from_indices(3, [0, 1])
+    for call in (lambda: RelayRegistry.from_indices(3, [index]),
+                 lambda: full.position_of(index),
+                 lambda: apply_death(full, index),
+                 lambda: apply_birth(full, index),
+                 lambda: apply_birth(partial, index)):
+        with pytest.raises(ProtocolError, match=r"outside \[0, 3\)"):
+            call()
 
 
 def test_death_and_birth_transitions():
