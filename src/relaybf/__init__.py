@@ -12,8 +12,8 @@ from .engine import (BerRow, ConvergenceResult, GapCdfRow, GridResult,
                      snr_at_ber)
 from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          RelayAgent, RelayRegistry, apply_birth, apply_death,
-                         decode_message, encode_message, exclude_coordinate,
-                         index_bits, insert_coordinate)
+                         apply_message, decode_message, encode_message,
+                         exclude_coordinate, index_bits, insert_coordinate)
 from .oracles import random_search_margins
 
 __all__ = [name for name in dir() if not name.startswith("_")]

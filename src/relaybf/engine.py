@@ -739,6 +739,8 @@ def snr_at_ber(snr_db, ber, target) -> float:
     """SNR where a BER curve first crosses `target`, log-linear in BER."""
     snr_db = np.asarray(snr_db, dtype=float)
     ber = np.asarray(ber, dtype=float)
+    if snr_db.shape != ber.shape:
+        raise ValueError("snr_db and ber must have the same length")
     for i in range(len(snr_db) - 1):
         b1, b2 = ber[i], ber[i + 1]
         if b1 >= target >= b2:

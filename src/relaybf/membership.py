@@ -1,16 +1,18 @@
 """Active-relay bookkeeping for networks whose membership changes at runtime.
 
-A death is broadcast as the dying relay's index (ceil(log2(Rmax)) bits); the
-survivors drop that coordinate and renormalize, keeping the adaptation state
-otherwise intact.  A birth is broadcast as the full Rmax-bit activity bitmap;
+A death is broadcast as the dying relay's index ((Rmax - 1).bit_length()
+bits); the survivors drop that coordinate and renormalize, keeping the
+adaptation state otherwise intact.  A birth is broadcast as the full Rmax-bit
+activity bitmap, which must keep every active relay and add exactly one;
 under a sum-power constraint every node re-initializes the adaptation, while
 under a per-relay constraint the incumbents keep their weights and the
 newcomer starts at weight 1.  Every broadcast carries one leading kind bit
 (0 = death, 1 = birth) ahead of the payload.
 
-`RelayAgent` is the relay-side mirror: driven only by feedback bits and
-membership broadcasts, it reproduces the destination's weight trajectory
-bit for bit.
+`apply_message` is the one transition of the active set.  The destination's
+`apply_death`/`apply_birth` and the relay-side mirror `RelayAgent` both go
+through it, so an agent driven only by feedback bits and broadcasts
+reproduces the destination's weight trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
                          init_weights, probes, project, select)
+
+_NEWCOMER_WEIGHT = 1.0 + 0j  # a per-relay newcomer's starting weight
 
 
 class ProtocolError(RuntimeError):
@@ -92,24 +96,41 @@ def index_bits(max_relays) -> int:
     return (int(max_relays) - 1).bit_length() if max_relays > 1 else 0
 
 
+def apply_message(reg: RelayRegistry, msg) -> RelayRegistry:
+    """A new registry after the broadcast `msg`, or `ProtocolError`: a death
+    must name an active relay other than the last, and a birth bitmap must
+    have Rmax entries, keep every active relay and add exactly one.
+    """
+    if isinstance(msg, DeathMessage):
+        if not reg.active[reg._checked(msg.index)]:
+            raise ProtocolError("death of a relay that is not active")
+        if reg.num_active < 2:
+            raise ProtocolError("the last active relay cannot leave")
+        out = reg.copy()
+        out.active[msg.index] = False
+        return out
+    if isinstance(msg, BirthMessage):
+        active = np.asarray(msg.active, dtype=bool)
+        if (active.shape != reg.active.shape or np.any(reg.active & ~active)
+                or np.count_nonzero(active) != reg.num_active + 1):
+            raise ProtocolError("birth bitmap must have %d entries, keep the "
+                                "active relays and add one" % reg.max_relays)
+        return RelayRegistry(active)
+    raise ProtocolError("unknown membership message")
+
+
 def apply_death(reg: RelayRegistry, index) -> tuple[RelayRegistry, DeathMessage]:
     """Deactivate one relay; at least one relay must survive."""
-    if not reg.active[reg._checked(index)]:
-        raise ProtocolError("death of a relay that is not active")
-    if reg.num_active < 2:
-        raise ProtocolError("the last active relay cannot leave")
-    out = reg.copy()
-    out.active[index] = False
-    return out, DeathMessage(int(index))
+    msg = DeathMessage(int(index))
+    return apply_message(reg, msg), msg
 
 
 def apply_birth(reg: RelayRegistry, index) -> tuple[RelayRegistry, BirthMessage]:
     """Activate one provisioned relay slot."""
-    if reg.active[reg._checked(index)]:
-        raise ProtocolError("birth of a relay that is already active")
-    out = reg.copy()
-    out.active[index] = True
-    return out, BirthMessage(tuple(bool(b) for b in out.active))
+    active = reg.active.copy()
+    active[reg._checked(index)] = True
+    msg = BirthMessage(tuple(bool(b) for b in active))
+    return apply_message(reg, msg), msg
 
 
 def encode_message(msg, max_relays) -> str:
@@ -159,9 +180,9 @@ def exclude_coordinate(w, position, constraint):
     return project(w, constraint, init_weights(w.size, constraint))
 
 
-def insert_coordinate(w, position, value=1.0 + 0j):
+def insert_coordinate(w, position):
     """Insert a newcomer's weight (per-relay joins keep incumbent weights)."""
-    return np.insert(w, position, value)
+    return np.insert(w, position, _NEWCOMER_WEIGHT)
 
 
 class RelayAgent:
@@ -175,16 +196,16 @@ class RelayAgent:
 
     def __init__(self, relay_index, registry: RelayRegistry, scheme: Scheme,
                  constraint: ConstraintKind, beta):
-        self.relay_index = int(relay_index)
+        self.relay_index = registry._checked(int(relay_index))
         self.registry = registry.copy()
         self.scheme = scheme
         self.constraint = constraint
         self.beta = float(beta)
         self._reset()
+        self.pset = build_perturbation_set(self.registry.num_active, scheme)
 
     def _reset(self):
         self.weights = init_weights(self.registry.num_active, self.constraint)
-        self.pset = build_perturbation_set(self.registry.num_active, self.scheme)
         self.frame_index = 0
 
     @property
@@ -210,25 +231,14 @@ class RelayAgent:
 
     def apply_message(self, msg) -> None:
         """Apply a membership broadcast to registry and weight mirror."""
+        old, self.registry = self.registry, apply_message(self.registry, msg)
+        slot = int(np.argmax(old.active != self.registry.active))
         if isinstance(msg, DeathMessage):
-            position = self.registry.position_of(msg.index)
-            self.registry, _ = apply_death(self.registry, msg.index)
-            self.weights = exclude_coordinate(self.weights, position,
-                                              self.constraint)
-            self.pset = build_perturbation_set(self.registry.num_active, self.scheme)
-            return
-        if isinstance(msg, BirthMessage):
-            newcomer = np.flatnonzero(np.asarray(msg.active, dtype=bool)
-                                      & ~self.registry.active)
-            if newcomer.size != 1:
-                raise ProtocolError("birth bitmap must add exactly one relay")
-            self.registry, _ = apply_birth(self.registry, int(newcomer[0]))
-            if self.constraint is ConstraintKind.SUM_POWER:
-                self._reset()
-            else:
-                position = self.registry.position_of(int(newcomer[0]))
-                self.weights = insert_coordinate(self.weights, position)
-                self.pset = build_perturbation_set(self.registry.num_active,
-                                                   self.scheme)
-            return
-        raise ProtocolError("unknown membership message")
+            self.weights = exclude_coordinate(
+                self.weights, old.position_of(slot), self.constraint)
+        elif self.constraint is ConstraintKind.SUM_POWER:
+            self._reset()
+        else:
+            self.weights = insert_coordinate(self.weights,
+                                             self.registry.position_of(slot))
+        self.pset = build_perturbation_set(self.registry.num_active, self.scheme)

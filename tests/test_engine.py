@@ -869,6 +869,10 @@ def test_snr_at_ber_interpolation():
         snr_at_ber([10.0, 12.0], [1e-1, 3e-2], 1e-2)
     with pytest.raises(ValueError):
         snr_at_ber([10.0, 12.0], [1e-1, 0.0], 1e-2)
+    # unequal lengths interpolated past the shorter curve, or hit its end
+    for snr_db, ber in (([0, 1, 2], [0.3, 0.1]), ([0, 1, 2], [0.3, 0.25])):
+        with pytest.raises(ValueError, match="same length"):
+            snr_at_ber(snr_db, ber, 0.2)
 
 
 def test_streams_are_stable_and_distinct():

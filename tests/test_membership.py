@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaybf.adaptation import (
@@ -23,6 +23,7 @@ from relaybf.membership import (
     RelayRegistry,
     apply_birth,
     apply_death,
+    apply_message,
     decode_message,
     encode_message,
     exclude_coordinate,
@@ -129,7 +130,9 @@ def test_indices_outside_the_slots_are_rejected(index):
                  lambda: full.position_of(index),
                  lambda: apply_death(full, index),
                  lambda: apply_birth(full, index),
-                 lambda: apply_birth(partial, index)):
+                 lambda: apply_birth(partial, index),
+                 lambda: RelayAgent(index, full, Scheme.PM,
+                                    ConstraintKind.SUM_POWER, 0.1)):
         with pytest.raises(ProtocolError, match=r"outside \[0, 3\)"):
             call()
 
@@ -144,10 +147,12 @@ def test_death_and_birth_transitions():
     reg3, bmsg = apply_birth(reg2, 1)
     assert bmsg == BirthMessage((True, True, True))
     assert reg3.num_active == 3
+    assert np.array_equal(apply_message(reg2, bmsg).active, reg3.active)
+    assert np.array_equal(apply_message(reg, msg).active, reg2.active)
 
     with pytest.raises(ProtocolError):
         apply_death(reg2, 1)  # already inactive
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="birth bitmap"):
         apply_birth(reg, 0)  # already active
     solo = RelayRegistry.from_indices(3, [2])
     with pytest.raises(ProtocolError):
@@ -219,25 +224,98 @@ def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
     return bits, messages, weights
 
 
+def _is_legal(active, msg):
+    """Whether `msg` is a legal broadcast on the activity list `active`."""
+    if isinstance(msg, DeathMessage):
+        return (0 <= msg.index < len(active) and active[msg.index]
+                and sum(active) > 1)
+    return (len(msg.active) == len(active)
+            and all(b for a, b in zip(active, msg.active) if a)
+            and sum(msg.active) == sum(active) + 1)
+
+
+@st.composite
+def _schedules(draw):
+    """Rmax, a start mask, the mirrored relay, the frame count, legal
+    deaths and births of random slots at random frames, and forged
+    broadcasts, none of them legal at their frame, at other frames."""
+    rmax = draw(st.integers(2, 6))
+    active = draw(st.lists(st.booleans(), min_size=rmax,
+                           max_size=rmax).filter(any))
+    mask, relay = list(active), draw(st.integers(0, rmax - 1))
+    frames = draw(st.integers(1, 30))
+    events, forged = {}, {}
+    for k in range(frames):
+        kind = draw(st.sampled_from(["none", "death", "birth", "forged"]))
+        alive = [i for i in range(rmax) if active[i]]
+        unborn = [i for i in range(rmax) if not active[i]]
+        if kind == "death" and len(alive) > 1:
+            index = draw(st.sampled_from(alive))
+            events[k], active[index] = ("death", index), False
+        elif kind == "birth" and unborn:
+            index = draw(st.sampled_from(unborn))
+            events[k], active[index] = ("birth", index), True
+        elif kind == "forged":
+            # bitmaps lean to Rmax entries, where only the content decides
+            bitmaps = (st.lists(st.booleans(), min_size=rmax, max_size=rmax)
+                       | st.lists(st.booleans(), max_size=rmax + 2))
+            msg = draw(st.builds(DeathMessage, st.integers(-2, rmax + 1))
+                       | st.builds(BirthMessage, bitmaps.map(tuple)))
+            if not _is_legal(active, msg):
+                forged[k] = msg
+    return rmax, mask, relay, frames, events, forged
+
+
 @pytest.mark.parametrize("constraint", [ConstraintKind.SUM_POWER,
                                         ConstraintKind.PER_RELAY])
-def test_agent_mirrors_pm_through_death_and_birth(constraint):
-    rng = np.random.default_rng(21)
-    rmax = 4
-    hbar_full = complex_normal(rng, (rmax,))
-    registry = RelayRegistry.full(rmax)
-    events = {6: ("death", 1), 14: ("birth", 1)}
+@settings(max_examples=60, deadline=None)
+@given(schedule=_schedules(), seed=st.integers(0, 2**32 - 1))
+@example(schedule=(4, [True] * 4, 2, 24, {6: ("death", 1), 14: ("birth", 1)},
+                   {}), seed=21)
+def test_agent_mirrors_pm_through_death_and_birth(constraint, schedule, seed):
+    rmax, mask, relay, frames, events, forged = schedule
+    hbar_full = complex_normal(np.random.default_rng(seed), (rmax,))
+    registry = RelayRegistry(mask)
     bits, messages, weights = _destination_pm(
-        hbar_full, registry, constraint, 0.2, 24, events)
+        hbar_full, registry, constraint, 0.2, frames, events)
 
-    agent = RelayAgent(2, registry, Scheme.PM, constraint, 0.2)
-    for k in range(24):
+    agent = RelayAgent(relay, registry, Scheme.PM, constraint, 0.2)
+    active = list(mask)  # the destination's mask after each legal broadcast
+    for k in range(frames):
+        if k in forged:
+            before = (agent.registry.active.copy(), agent.weight_vector,
+                      agent.frame_index)
+            with pytest.raises(ProtocolError):
+                agent.apply_message(forged[k])
+            assert np.array_equal(agent.registry.active, before[0])
+            assert np.array_equal(agent.weight_vector, before[1])
+            assert agent.frame_index == before[2]
         if k in messages:
             wire = encode_message(messages[k], rmax)
             agent.apply_message(decode_message(wire, rmax))
+            active[events[k][1]] = events[k][0] == "birth"
         agent.advance(bits[k])
+        assert np.array_equal(agent.registry.active, active)
         assert np.array_equal(agent.weight_vector, weights[k])
-    assert agent.is_active
+
+
+@pytest.mark.parametrize("active", [(False, True, True),
+                                    (True, True, True, True)],
+                         ids=["drops_relay_0", "four_slots"])
+def test_forged_births_leave_the_agent_unchanged(active):
+    # a bitmap that also turns relay 0 off would put the agent out of step
+    # with the destination; a 4-slot bitmap is a protocol error on 3 slots,
+    # not a numpy broadcast error
+    agent = RelayAgent(0, RelayRegistry.from_indices(3, [0, 2]), Scheme.PM,
+                       ConstraintKind.PER_RELAY, 0.2)
+    for bit in (1, 0, 1):
+        agent.advance(bit)
+    mask, w = agent.registry.active.copy(), agent.weight_vector
+    with pytest.raises(ProtocolError, match="birth bitmap"):
+        agent.apply_message(BirthMessage(active))
+    assert np.array_equal(agent.registry.active, mask)
+    assert np.array_equal(agent.weight_vector, w)
+    assert agent.frame_index == 3
 
 
 def test_agent_mirrors_tr():
