@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the experiment runners plus a closed-form
-oracle self-check.  Exit codes: 0 on success, 1 for configuration problems
+oracle self-check, `engine.oracle_margins`, which acceptance criterion 03
+runs as well.  Exit codes: 0 on success, 1 for configuration problems
 (bad flags, unreadable or invalid config JSON), 2 for runtime failures
-(including refusal to overwrite existing outputs without --force).
+(including refusal to overwrite existing outputs without --force, and an
+allocation that does not fit in memory).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from operator import attrgetter, methodcaller
 
 import numpy as np
 
-from . import __version__, config, engine, network, oracles
+from . import __version__, engine
 from .config import ConfigError, ExperimentConfig
 
 ORACLE_CHECK_VECTORS = 20000
@@ -191,25 +193,12 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     cfg = _load_config(args)
-    noise_power = config.noise_power(cfg.single("snr_db_grid", "oracle-check"))
-    h, g = engine._draw_channels(cfg, 0, cfg.num_realizations)
-    hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
-    # the margins below are ratios to the closed forms' objectives, which
-    # must be finite and positive
-    engine._ssp_reference(hbar, np.abs(gbar) ** 2, noise_power)
-    achieved = network._signal_power(oracles._psp(hbar), hbar)
-    expected = np.sum(np.abs(hbar) ** 2, axis=0)  # ||hbar||^2
-    if np.any(np.abs(achieved - expected) > 1e-9 * np.maximum(expected, 1.0)):
+    worst_power, worst_snr, psp_dev = engine.oracle_margins(
+        cfg, ORACLE_CHECK_VECTORS)
+    if psp_dev > ORACLE_CHECK_SLACK:
         print("oracle-check: FAIL (power objective of the matched "
               "vector deviates from the closed form)")
         return 2
-    worst_power = worst_snr = 0.0
-    for i in range(cfg.num_realizations):
-        rng = engine._stream(cfg.seed, i, engine._STREAM_NOISE)
-        p_margin, s_margin = oracles.random_search_margins(
-            hbar[:, i], gbar[:, i], noise_power, ORACLE_CHECK_VECTORS, rng)
-        worst_power = max(worst_power, p_margin)
-        worst_snr = max(worst_snr, s_margin)
     print("oracle-check: channels=%d vectors=%d max_power_margin=%.3e "
           "max_snr_margin=%.3e"
           % (cfg.num_realizations, ORACLE_CHECK_VECTORS,
@@ -230,7 +219,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError, ValueError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

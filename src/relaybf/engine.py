@@ -250,6 +250,28 @@ def _ssp_reference(hbar, gbar2, noise_power):
     return snr_opt
 
 
+def oracle_margins(cfg: ExperimentConfig, num_vectors):
+    """The worst power margin, SNR margin and p-sp deviation
+    |P(p-sp) - ||hbar||^2| / max(||hbar||^2, 1) over the config's channels
+    at relay power 1 and its one SNR point; `oracles.random_search_margins`
+    probes each channel with `num_vectors` draws of its noise stream."""
+    noise_power = config.noise_power(cfg.single("snr_db_grid", "oracle-check"))
+    n = cfg.num_realizations
+    h, g = _draw_channels(cfg, 0, n)
+    hbar, gbar = network.ideal_compound(h, g, 1.0, noise_power)
+    gbar2 = np.abs(gbar) ** 2
+    # the margins are ratios to the closed forms' objectives, which must be
+    # finite and positive
+    _ssp_reference(hbar, gbar2, noise_power)
+    power = adaptation.relay_sum(np.abs(hbar) ** 2)  # ||hbar||^2
+    psp_dev = np.abs(network._signal_power(oracles.closed_form(
+        "p-sp", hbar, gbar2), hbar) - power) / np.maximum(power, 1.0)
+    p_margin, s_margin = oracles.random_search_margins(
+        hbar, gbar2, noise_power, num_vectors,
+        _block_streams(cfg.seed, 0, n, _STREAM_NOISE))
+    return float(p_margin.max()), float(s_margin.max()), float(psp_dev.max())
+
+
 def _iter_block_results(fn, payloads, workers):
     """Yield `fn(*payload)` for each payload, in payload order.
 

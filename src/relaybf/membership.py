@@ -17,6 +17,7 @@ reproduces the destination's weight trajectory bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,15 @@ class RelayRegistry:
         return int(self.active.size)
 
     def _checked(self, index):
-        """`index`, if it names a slot (numpy would wrap a negative one)."""
+        """`index` as an int, if it names a slot: an integer, not a bool,
+        in range (numpy would wrap a negative one)."""
+        try:
+            if isinstance(index, (bool, np.bool_)):
+                raise TypeError
+            index = operator.index(index)
+        except TypeError:
+            raise ProtocolError("relay index %r is not an integer"
+                                % (index,)) from None
         if not 0 <= index < self.max_relays:
             raise ProtocolError("relay index %d is outside [0, %d)"
                                 % (index, self.max_relays))
@@ -121,7 +130,7 @@ def apply_message(reg: RelayRegistry, msg) -> RelayRegistry:
 
 def apply_death(reg: RelayRegistry, index) -> tuple[RelayRegistry, DeathMessage]:
     """Deactivate one relay; at least one relay must survive."""
-    msg = DeathMessage(int(index))
+    msg = DeathMessage(reg._checked(index))
     return apply_message(reg, msg), msg
 
 
@@ -196,7 +205,7 @@ class RelayAgent:
 
     def __init__(self, relay_index, registry: RelayRegistry, scheme: Scheme,
                  constraint: ConstraintKind, beta):
-        self.relay_index = registry._checked(int(relay_index))
+        self.relay_index = registry._checked(relay_index)
         self.registry = registry.copy()
         self.scheme = scheme
         self.constraint = constraint

@@ -58,31 +58,32 @@ def closed_form(token, hbar, gbar2):
 _SEARCH_CHUNK = 20000
 
 
-def random_search_margins(hbar, gbar, noise_power, num_vectors, rng):
-    """Best objective ratio found by random unit-norm probing of one
-    compound channel (hbar, gbar), each (R,).
+def random_search_margins(hbar, gbar2, noise_power, num_vectors, rngs):
+    """Best objective ratios found by random unit-norm probing of a stack of
+    compound channels hbar (R, n), given gbar2 = |gbar|^2 (R, n).  Channel i
+    is probed from the i-th generator of `rngs`, which may hand them out one
+    at a time: each is drawn from before the next is taken.
 
-    Returns (power_margin, snr_margin): the maximum of J(w_random)/J(w_closed)
-    for the power and SNR objectives.  Values above 1 + 1e-9 would mean the
-    closed forms are not actually optimal.  The channel must not be
-    identically zero.
+    Returns (power_margin, snr_margin), each (n,): per channel, the maximum
+    of J(w_random)/J(w_closed) for the power and SNR objectives.  Values
+    above 1 + 1e-9 would mean the closed forms are not actually optimal.
+    No channel may be identically zero.
     """
-    gbar2 = np.abs(gbar) ** 2
-    p_best = float(_signal_power(_psp(hbar), hbar))
-    s_best = float(_snr(_ssp(hbar, gbar2), hbar, gbar2, noise_power))
-    p_margin = 0.0
-    s_margin = 0.0
+    p_best = _signal_power(_psp(hbar), hbar)
+    s_best = _snr(_ssp(hbar, gbar2), hbar, gbar2, noise_power)
+    # division by a positive objective is monotone, so the best ratio is
+    # the best objective over that objective, bit for bit
+    p_top = np.zeros(hbar.shape[1])
+    s_top = np.zeros(hbar.shape[1])
     r = hbar.shape[0]
-    hbar, gbar2 = hbar[:, None], gbar2[:, None]
-    remaining = int(num_vectors)
-    while remaining > 0:
-        n = min(_SEARCH_CHUNK, remaining)
-        remaining -= n
-        # drawn vector by vector, then viewed relay-first
-        raw = (rng.standard_normal((n, r))
-               + 1j * rng.standard_normal((n, r))).T
-        w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
-        p_margin = max(p_margin, float(np.max(_signal_power(w, hbar))) / p_best)
-        s_margin = max(s_margin,
-                       float(np.max(_snr(w, hbar, gbar2, noise_power))) / s_best)
-    return p_margin, s_margin
+    for i, rng in enumerate(rngs):
+        h_i, g_i = hbar[:, i, None], gbar2[:, i, None]
+        for start in range(0, num_vectors, _SEARCH_CHUNK):
+            n = min(_SEARCH_CHUNK, num_vectors - start)
+            # drawn vector by vector, then viewed relay-first
+            raw = (rng.standard_normal((n, r))
+                   + 1j * rng.standard_normal((n, r))).T
+            w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
+            p_top[i] = max(p_top[i], np.max(_signal_power(w, h_i)))
+            s_top[i] = max(s_top[i], np.max(_snr(w, h_i, g_i, noise_power)))
+    return p_top / p_best, s_top / s_best

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from relaybf import engine, estimation, network, oracles
+from relaybf import engine, estimation, network
 from relaybf.adaptation import (
     ConstraintKind,
     Scheme,
@@ -137,23 +137,10 @@ def test_criterion_02_tr_monotonicity():
 # 3. closed-form weights against random search
 
 def test_criterion_03_oracles_beat_random_search():
-    noise = 10.0 ** (-SNR_DB / 10.0)
-    pl = PathLoss(DISTANCES)
-    worst_power = worst_snr = worst_psp_dev = 0.0
-    for i in range(1000):
-        h, g = sample_static_rayleigh(
-            engine._stream(SEED, i, engine._STREAM_CHANNEL), pl)
-        hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
-        achieved = float(network._signal_power(
-            oracles.closed_form("p-sp", hbar, np.abs(gbar) ** 2), hbar))
-        closed = float(np.sum(np.abs(hbar) ** 2))
-        worst_psp_dev = max(worst_psp_dev,
-                            abs(achieved - closed) / max(closed, 1.0))
-        p_m, s_m = oracles.random_search_margins(
-            hbar, gbar, noise, 100_000,
-            engine._stream(SEED, i, engine._STREAM_NOISE))
-        worst_power = max(worst_power, p_m)
-        worst_snr = max(worst_snr, s_m)
+    # the self-check that `relaybf oracle-check` runs
+    cfg = ExperimentConfig(snr_db_grid=[SNR_DB], distances=DISTANCES,
+                           num_realizations=1000, seed=SEED)
+    worst_power, worst_snr, worst_psp_dev = engine.oracle_margins(cfg, 100_000)
     ok = worst_snr <= 1.0 and worst_power <= 1.0 and worst_psp_dev <= 1e-9
     assert _report(3, ok,
                    "1000 channels x 1e5 vectors: max snr margin %.2e, max "

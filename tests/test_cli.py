@@ -310,12 +310,32 @@ def test_oracle_check_has_no_workers_flag(tmp_path, capsys):
     assert captured.err == "error: unrecognized arguments: --workers 2\n"
 
 
-def test_oracle_check_passes(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path, {"num_realizations": 2, "seed": 0})
-    assert main(["oracle-check", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "oracle-check: PASS" in out
-    assert "max_power_margin" in out
+def test_oracle_check_passes(capsys):
+    # the shipped config's output, byte for byte
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json"
+    assert main(["oracle-check", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "oracle-check: channels=200 vectors=20000 max_power_margin=-7.827e-04"
+        " max_snr_margin=-2.189e-04\noracle-check: PASS\n")
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "convergence"])
+def test_an_allocation_that_cannot_fit_exits_2_with_one_line(tmp_path, capsys,
+                                                             command):
+    # 10**14 realizations ask for more than 2**47 bytes, which no 64-bit
+    # host maps, so the allocation fails before touching memory; numpy's
+    # MemoryError ended in a traceback
+    cfg = _cfg_file(tmp_path, {"num_realizations": 10**14,
+                               "block_size": 10**14})
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg]
+    if command == "convergence":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("data", [

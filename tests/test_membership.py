@@ -120,7 +120,9 @@ def test_registry_is_its_mask():
             RelayRegistry(bad)
 
 
-@pytest.mark.parametrize("index", [-1, 3])
+# int() read 1.5 and True as relay 1; numpy raised IndexError, ValueError
+# or TypeError on them and on "1"
+@pytest.mark.parametrize("index", [-1, 3, 1.5, True, np.True_, "1"])
 def test_indices_outside_the_slots_are_rejected(index):
     # numpy reads -1 as the last slot: from_indices activated relay 2 and
     # position_of(-1) returned relay 2's rank
@@ -129,11 +131,13 @@ def test_indices_outside_the_slots_are_rejected(index):
     for call in (lambda: RelayRegistry.from_indices(3, [index]),
                  lambda: full.position_of(index),
                  lambda: apply_death(full, index),
+                 lambda: apply_message(full, DeathMessage(index)),
                  lambda: apply_birth(full, index),
                  lambda: apply_birth(partial, index),
                  lambda: RelayAgent(index, full, Scheme.PM,
                                     ConstraintKind.SUM_POWER, 0.1)):
-        with pytest.raises(ProtocolError, match=r"outside \[0, 3\)"):
+        with pytest.raises(ProtocolError, match=r"outside \[0, 3\)"
+                           if type(index) is int else "not an integer"):
             call()
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaybf.adaptation import ConstraintKind, init_weights
-from relaybf.channel import PathLoss, sample_static_rayleigh
+from relaybf.channel import PathLoss, complex_normal, sample_static_rayleigh
+from relaybf.engine import _STREAM_NOISE, _block_streams, _stream
 from relaybf.network import _signal_power, _snr, ideal_compound
-from relaybf.oracles import closed_form, random_search_margins
+from relaybf.oracles import _SEARCH_CHUNK, closed_form, random_search_margins
 
 
 def _random_compound(seed, r=3, noise_power=10.0 ** -1.8):
@@ -55,10 +58,11 @@ def test_ssp_is_noise_level_invariant():
     # the s-sp weights take no noise power, and no random vector beats their
     # SNR at a low or a high noise power on the same compound channel
     (hbar, gbar), _ = _random_compound(0)
+    hbar, gbar2 = hbar[:, None], np.abs(gbar[:, None]) ** 2  # a stack of one
     rng = np.random.default_rng(1)
     for noise_power in (0.001, 5.0):
-        _, s_margin = random_search_margins(hbar, gbar, noise_power, 4000,
-                                            rng)
+        (s_margin,) = random_search_margins(hbar, gbar2, noise_power, 4000,
+                                            [rng])[1]
         assert 0.0 < s_margin <= 1.0 + 1e-9
 
 
@@ -107,7 +111,29 @@ def test_random_search_never_beats_closed_forms():
     rng = np.random.default_rng(42)
     for seed in range(20):
         (hbar, gbar), noise_power = _random_compound(seed)
-        p_margin, s_margin = random_search_margins(hbar, gbar, noise_power,
-                                                   4000, rng)
-        assert 0.0 < p_margin <= 1.0 + 1e-9
-        assert 0.0 < s_margin <= 1.0 + 1e-9
+        hbar, gbar2 = hbar[:, None], np.abs(gbar[:, None]) ** 2
+        for (margin,) in random_search_margins(hbar, gbar2, noise_power,
+                                               4000, [rng]):
+            assert 0.0 < margin <= 1.0 + 1e-9
+
+
+@settings(max_examples=40)
+@given(r=st.integers(1, 9), n=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), num_vectors=st.integers(0, 300))
+@example(r=5, n=2, seed=7, num_vectors=_SEARCH_CHUNK + 3)
+def test_stacked_search_equals_each_channel_alone(r, n, seed, num_vectors):
+    # above 3 relays relay_sum falls back to numpy's sum; past one chunk
+    # each channel's generator serves several draws
+    rng = np.random.default_rng(seed)
+    hbar, gbar = ideal_compound(complex_normal(rng, (r, n)),
+                                complex_normal(rng, (r, n)), 1.0, 0.1)
+    gbar2 = np.abs(gbar) ** 2
+    stacked = random_search_margins(hbar, gbar2, 0.1, num_vectors,
+                                    _block_streams(seed, 0, n, _STREAM_NOISE))
+    assert all(m.shape == (n,) for m in stacked)
+    for i in range(n):
+        alone = random_search_margins(hbar[:, i:i + 1], gbar2[:, i:i + 1],
+                                      0.1, num_vectors,
+                                      [_stream(seed, i, _STREAM_NOISE)])
+        np.testing.assert_array_equal(np.ravel(alone),
+                                      [m[i] for m in stacked])
