@@ -55,42 +55,46 @@ def relay_sum(x):
     return total
 
 
-def _normalize_sum(w_raw, fallback):
-    norm = np.sqrt(relay_sum(np.abs(w_raw) ** 2))
+def _normalize_sum(w_raw, fallback, out):
+    mag2 = np.abs(w_raw)
+    norm = np.sqrt(relay_sum(np.square(mag2, out=mag2)))
     if ZERO_NORM <= norm.min() and norm.max() < np.inf:  # the common case
-        return w_raw / norm
+        return np.divide(w_raw, norm, out=out)
     if np.isinf(norm).any():
         # |w|^2 overflowed (norm >= 1e154): scaling those vectors by a power
         # of two is exact, keeps their direction, and leaves norm > ZERO_NORM
         w_raw = np.where(np.isinf(norm), w_raw * 2.0 ** -530, w_raw)
         norm = np.sqrt(relay_sum(np.abs(w_raw) ** 2))
     small = norm < ZERO_NORM
-    if not small.any():
-        return w_raw / norm
-    return np.where(small, fallback, w_raw / np.where(small, 1.0, norm))
+    out = np.divide(w_raw, np.where(small, 1.0, norm), out=out)
+    np.copyto(out, fallback, where=small)
+    return out
 
 
-def _normalize_per_relay(w_raw, fallback):
+def _normalize_per_relay(w_raw, fallback, out):
     mag = np.abs(w_raw)
     if np.isinf(mag).any():  # |w_i| overflowed; halving is exact
         w_raw = np.where(np.isinf(mag), w_raw * 0.5, w_raw)
         mag = np.abs(w_raw)
-    safe = np.where(mag < ZERO_NORM, 1.0, mag)
-    return np.where(mag < ZERO_NORM, fallback, w_raw / safe)
+    small = mag < ZERO_NORM
+    out = np.divide(w_raw, np.where(small, 1.0, mag), out=out)
+    np.copyto(out, fallback, where=small)
+    return out
 
 
-def project(w_raw, constraint, fallback):
+def project(w_raw, constraint, fallback, out=None):
     """Project raw updates (R, ...) onto the constraint set.
 
     Sum-power scales each vector to unit norm; per-relay strips each entry
     down to its phase.  Degenerate inputs (vector norm, or a single entry,
     below 1e-12) fall back to the corresponding entries of `fallback`, the
     previous value, so the adaptation never emits an infeasible vector.
+    The projection is written to `out` when given, which may be `w_raw`.
     """
     if constraint is ConstraintKind.SUM_POWER:
-        return _normalize_sum(w_raw, fallback)
+        return _normalize_sum(w_raw, fallback, out)
     if constraint is ConstraintKind.PER_RELAY:
-        return _normalize_per_relay(w_raw, fallback)
+        return _normalize_per_relay(w_raw, fallback, out)
     raise ValueError("unknown constraint kind")
 
 
@@ -145,15 +149,26 @@ def init_weights(num_relays, constraint) -> np.ndarray:
     return ones
 
 
-def probes(scheme, w, q, beta, constraint):
+def probes(scheme, w, q, beta, constraint, out=None):
     """Projected training candidates of working vectors `w` (R, ...) along
-    the direction `q` (R,): (w + beta*q,) for TR, (w + beta*q, w - beta*q)
-    for PM."""
-    step = beta * np.reshape(q, np.shape(q) + (1,) * (np.ndim(w) - 1))
-    plus = project(w + step, constraint, w)
-    if scheme is Scheme.TR:
-        return (plus,)
-    return plus, project(w - step, constraint, w)
+    the direction `q` (R,), one stack (P, R, ...) candidate first: w + beta*q
+    for TR, then w - beta*q for PM.
+
+    The raw candidates form one relays-first block (R, P, ...), projected
+    in place in one call with `w` as every candidate's fallback; the
+    projection is elementwise per vector, so each candidate has the bits it
+    has alone.  The block is `out` when given, a complex array that shares
+    no memory with `w`: a caller stepping frame after frame passes the same
+    one each time, and the returned stack is a view of it.
+    """
+    # (R, 1, ...): the candidate axis, then the axes of w after the relays
+    step = beta * np.reshape(q, np.shape(q) + (1,) * np.ndim(w))
+    if scheme is Scheme.PM:
+        # w + (-step) is w - step in IEEE arithmetic, signed zeros included
+        step = np.concatenate((step, -step), axis=1)
+    w = w[:, None]
+    raw = np.add(w, step, out=out)
+    return project(raw, constraint, w, out=raw).swapaxes(0, 1)
 
 
 def decide(scheme, objectives, best=None, forgetting=1.0):
@@ -173,7 +188,7 @@ def decide(scheme, objectives, best=None, forgetting=1.0):
 
 
 def select(w, probes, bit):
-    """Next working vector: bit 1 takes the last probe, bit 0 keeps the one
-    before it (TR: `w`, PM: the plus probe)."""
+    """Next working vector: bit 1 takes the last probe of the stack
+    `probes`, bit 0 keeps the one before it (TR: `w`, PM: the plus probe)."""
     keep, take = ((w,) + tuple(probes))[-2:]
     return np.where(bit, take, keep)

@@ -163,48 +163,68 @@ def _detect_bits(y, h_hat):
 # batched kernels (weights and compound channels (R, *links), relays
 # first): the adaptation step of `adaptation` on exact objectives
 
-def _objective_batch(snr, w, hbar, gbar2, noise_power):
-    """Exact objectives of weights `w` (R, *links), given hbar and the
-    noise-forwarding powers gbar2 = |gbar|^2: the signal power, divided
-    into the SNR on the entries `snr` of the axis after the relays (a
-    slice, or None when every entry scores power).
+def _objective_batch(snr, cand, hbar, gbar2, noise_power):
+    """Exact objectives (P, *links) of a candidate stack `cand` (P, R,
+    *links), as `adaptation.probes` returns it, given hbar and the
+    noise-forwarding powers gbar2 = |gbar|^2, (R, *links): the signal
+    power, divided into the SNR on the entries `snr` of the first link
+    axis, past the candidate axis (a slice, or None when every entry
+    scores power).
     """
-    j = network._signal_power(w, hbar)
+    w = cand.swapaxes(0, 1)  # (R, P, *links), relays first
+    j = network._signal_power(w, hbar[:, None])
     if snr is not None:
         # the expression of `network._snr`, on the SNR entries only
-        j[snr] /= noise_power * (1.0 + network._noise_gain(w[:, snr], gbar2))
+        j[:, snr] /= noise_power * (1.0 + network._noise_gain(
+            w[:, :, snr], gbar2[:, None]))
     return j
 
 
 def _tr_batch(w, best, frame_index, beta, pset, constraint, snr,
-              hbar, gbar2, noise_power, forgetting):
+              hbar, gbar2, noise_power, forgetting, block=None):
     cand = adaptation.probes(Scheme.TR, w, pset.column(frame_index), beta,
-                             constraint)
-    j = _objective_batch(snr, cand[0], hbar, gbar2, noise_power)
-    take, best = adaptation.decide(Scheme.TR, (j,), best, forgetting)
+                             constraint, block)
+    take, best = adaptation.decide(
+        Scheme.TR, _objective_batch(snr, cand, hbar, gbar2, noise_power),
+        best, forgetting)
     return adaptation.select(w, cand, take), best, take
 
 
 def _pm_batch(w, frame_index, beta, pset, constraint, snr,
-              hbar, gbar2, noise_power):
+              hbar, gbar2, noise_power, block=None):
     cand = adaptation.probes(Scheme.PM, w, pset.column(frame_index), beta,
-                             constraint)
-    take_minus, _ = adaptation.decide(Scheme.PM, [
-        _objective_batch(snr, c, hbar, gbar2, noise_power) for c in cand])
+                             constraint, block)
+    take_minus, _ = adaptation.decide(
+        Scheme.PM, _objective_batch(snr, cand, hbar, gbar2, noise_power))
     return adaptation.select(w, cand, take_minus), take_minus
 
 
+def _probe_block(scheme, w):
+    """An empty relays-first block (R, P, *links) for the candidates of
+    weights `w` (R, *links), which a frame loop passes to `_adapt` every
+    frame, so that `adaptation.probes` fills it in place.
+
+    A block allocated and freed every frame can make glibc's malloc hand
+    the top of the heap back to the system and fault it in again on the
+    next frame; on a 2000-link convergence block that cost more than one
+    stacked projection saves.
+    """
+    num_probes = 2 if scheme is Scheme.PM else 1
+    return np.empty((w.shape[0], num_probes) + w.shape[1:], dtype=complex)
+
+
 def _adapt(cfg, pset, frame_index, w, best, snr, constraint,
-           hbar, gbar2, noise_power):
+           hbar, gbar2, noise_power, block=None):
     """(w, best, bit) after one `cfg.scheme` frame at the one step in
-    `cfg.betas`; PM leaves `best` as is.  `snr` as in `_objective_batch`."""
+    `cfg.betas`; PM leaves `best` as is.  `snr` as in `_objective_batch`,
+    `block` from `_probe_block` or None."""
     (beta,) = cfg.betas
     if cfg.scheme is Scheme.TR:
         return _tr_batch(w, best, frame_index, beta, pset, constraint,
                          snr, hbar, gbar2, noise_power,
-                         cfg.forgetting_factor)
+                         cfg.forgetting_factor, block)
     w, bit = _pm_batch(w, frame_index, beta, pset, constraint, snr,
-                       hbar, gbar2, noise_power)
+                       hbar, gbar2, noise_power, block)
     return w, best, bit
 
 
@@ -351,6 +371,7 @@ def _convergence_block(cfg, start, count):
     snr_opt = _ssp_reference(hbar, gbar2, noise_power)
     pset = build_perturbation_set(r, cfg.scheme)
     w = np.tile(init_weights(r, constraint)[:, None], (1, count))
+    block = _probe_block(cfg.scheme, w)
     best = np.zeros(count)
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
@@ -373,7 +394,7 @@ def _convergence_block(cfg, start, count):
             snr_traj[:, k] = ratio[traj]
         # every link scores the SNR (pb-s-sp)
         w, best, bit = _adapt(cfg, pset, k, w, best, slice(None), constraint,
-                              hbar, gbar2, noise_power)
+                              hbar, gbar2, noise_power, block)
         if n_traj:
             bit_traj[:, k] = bit[:n_traj]
     return start, snr_traj, bit_traj, gaps_at
@@ -428,21 +449,42 @@ class GridResult:
 BerRow = collections.namedtuple("BerRow", "scheme snr_db bits errors ber")
 
 
+def _raw_bits(raw, num_bits, spare=None):
+    """The bits of `integers(0, 2, size=num_bits)`, one row per stream,
+    from raw PCG64 outputs `raw` (count, k) "<u8": each bit is the top bit
+    of a 32-bit draw, and each 64-bit output is its low half, then its high
+    half.  `spare` (count,) holds the 32-bit halves that an earlier odd
+    count left over, which the bits start with, or None.  Returns the bits
+    (count, num_bits) as uint32 and the halves left over now, or None.
+    """
+    words = raw.view("<u4")  # little-endian: low half, then high half
+    if spare is not None:
+        words = np.concatenate([spare[:, None], words], axis=1)
+    spare = words[:, num_bits] if words.shape[1] > num_bits else None
+    return words[:, :num_bits] >> 31, spare
+
+
 def _draw_ber_noise(cfg, start, count):
     """Data bits and unit-variance complex noise, each (count, frames, data).
 
-    Each realization's stream (all seeded in one pass) draws its bits, then
-    fills its row of one normal block (re, im) in a single call; the block
-    is then assembled once, in place, so at most one float and one complex
+    Each realization's stream (all seeded in one pass) draws its bits, as
+    raw output that `_raw_bits` reads, then fills its row of one normal
+    block (re, im) in a single call; the normals use whole 64-bit outputs,
+    so they follow the bits as they follow `integers(0, 2)`.  The block is
+    then assembled once, in place, so at most one float and one complex
     block are alive.
     """
     shape = (cfg.num_frames, cfg.num_data)
-    bits = np.empty((count,) + shape, dtype=np.int8)
+    num_bits = cfg.num_frames * cfg.num_data
+    raw = np.empty((count, (num_bits + 1) // 2), dtype="<u8")
     zz = np.empty((count, 2) + shape)
     for j, rng in enumerate(_block_streams(cfg.seed, start, count,
                                            _STREAM_NOISE)):
-        bits[j] = rng.integers(0, 2, size=shape)
+        raw[j] = rng.bit_generator.random_raw(raw.shape[1])
         rng.standard_normal(out=zz[j])
+    bits = _raw_bits(raw, num_bits)[0].astype(np.int8).reshape(
+        (count,) + shape)
+    del raw  # freed before the complex block is assembled
     # (re + 1j*im) / sqrt(2), not `channel._complex_gaussian`: dividing by
     # sqrt(2) rounds differently from scaling by sqrt(1/2)
     z = np.multiply(1j, zz[:, 1])
@@ -499,17 +541,18 @@ def _ber_block(cfg, points, start, count):
         snr = next((slice(i, i + 1) for i, t in enumerate(members)
                     if schemes[t][0] is Objective.SNR), None)
         hbar, gbar2 = (x[:, None] for x in compound[ck])
-        stacks.append((members, snr, ck, hbar, gbar2))
         w = np.tile(init_weights(r, ck)[:, None, None, None],
                     (1, len(members), len(points), count))
+        stacks.append((members, snr, ck, hbar, gbar2,
+                       _probe_block(cfg.scheme, w)))
         state.append((w, np.zeros(w.shape[1:])))
     pset = build_perturbation_set(r, cfg.scheme)
 
     def advance(frame_index):
         """One `_adapt` call per stack."""
-        for i, (_, snr, ck, hbar, gbar2) in enumerate(stacks):
+        for i, (_, snr, ck, hbar, gbar2, block) in enumerate(stacks):
             state[i] = _adapt(cfg, pset, frame_index, *state[i], snr, ck,
-                              hbar, gbar2, noise_power)[:2]
+                              hbar, gbar2, noise_power, block)[:2]
 
     for k in range(cfg.warmup_frames):
         advance(k)
@@ -522,7 +565,7 @@ def _ber_block(cfg, points, start, count):
     errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
     for f in range(n_frames):
         frame_gains = dict(fixed)
-        for (members, *_, hbar, gbar2), (w, _) in zip(stacks, state):
+        for (members, *_, hbar, gbar2, _), (w, _) in zip(stacks, state):
             frame_gains.update(zip(members, zip(*gains(w, hbar, gbar2))))
         # detection stays per scheme: a y stacked over every scheme would
         # raise the block's peak memory for little time
@@ -603,7 +646,7 @@ def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
                                 measured)
     cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
     *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
-               for gx_seg, ww, v_seg in zip(gx, cand + (w,), v))
+               for gx_seg, ww, v_seg in zip(gx, tuple(cand) + (w,), v))
     h = [estimation._channel_estimate(yy) for yy in y]
     j = [np.abs(hh) ** 2 if objective is Objective.POWER
          else estimation._snr_estimate(hh, yy) for hh, yy in zip(h, y)]
@@ -623,12 +666,11 @@ def _draw_frame_noise(rngs, spare, s_total, r, num_data, noise_power):
     Each stream makes one normal call, for the relay noise (re, im) and then
     the destination noise (re, im), followed by the bits; the block is then
     assembled into complex noise once.  The bits are those of
-    `integers(0, 2, size=num_data)`, the top bit of each 32-bit draw, taken
-    from raw PCG64 output: each 64-bit output is its low half, then its
-    high half.  `spare` (count,) holds the 32-bit halves that an odd count
-    left over, which the next frame's bits start with, or None; the updated
-    value is returned last.  The normals use whole 64-bit outputs only, so
-    the bits are the streams' one 32-bit consumer.
+    `integers(0, 2, size=num_data)`, read from raw output by `_raw_bits`.
+    `spare` (count,) holds the 32-bit halves that an odd count left over,
+    which the next frame's bits start with, or None; the updated value is
+    returned last.  The normals use whole 64-bit outputs only, so the bits
+    are the streams' one 32-bit consumer.
     """
     count = len(rngs)
     num_raw = (num_data - (spare is not None) + 1) // 2
@@ -637,11 +679,8 @@ def _draw_frame_noise(rngs, spare, s_total, r, num_data, noise_power):
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=z[j])
         raw[j] = rng.bit_generator.random_raw(num_raw)
-    words = raw.view("<u4")  # little-endian: low half, then high half
-    if spare is not None:
-        words = np.concatenate([spare[:, None], words], axis=1)
-    bits = (words[:, :num_data] >> 31).astype(np.int64)
-    spare = words[:, num_data] if words.shape[1] > num_data else None
+    bits, spare = _raw_bits(raw, num_data, spare)
+    bits = bits.astype(np.int64)
     zn = z[:, :2 * s_total * r].reshape(count, 2, s_total, r)
     zv = z[:, 2 * s_total * r:].reshape(count, 2, s_total).swapaxes(0, 1)
     return (channel._complex_gaussian(zn.transpose(1, 3, 0, 2), noise_power),

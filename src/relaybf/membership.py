@@ -69,19 +69,12 @@ class RelayRegistry:
         return int(self.active.size)
 
     def _checked(self, index):
-        """`index` as an int, if it names a slot: an integer, not a bool,
-        in range (numpy would wrap a negative one)."""
+        """`index` as an int, if it names a slot, by `_slot_index`'s rule;
+        `ProtocolError` otherwise."""
         try:
-            if isinstance(index, (bool, np.bool_)):
-                raise TypeError
-            index = operator.index(index)
-        except TypeError:
-            raise ProtocolError("relay index %r is not an integer"
-                                % (index,)) from None
-        if not 0 <= index < self.max_relays:
-            raise ProtocolError("relay index %d is outside [0, %d)"
-                                % (index, self.max_relays))
-        return index
+            return _slot_index(index, self.max_relays)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
 
     @property
     def num_active(self) -> int:
@@ -98,6 +91,23 @@ class RelayRegistry:
 
     def copy(self):
         return RelayRegistry(self.active.copy())
+
+
+def _slot_index(index, max_relays) -> int:
+    """`index` as an int, if it names one of `max_relays` slots: an
+    integer, not a bool, in range (numpy would wrap a negative one);
+    `ValueError` otherwise."""
+    try:
+        if isinstance(index, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(index)
+    except TypeError:
+        raise ValueError("relay index %r is not an integer"
+                         % (index,)) from None
+    if not 0 <= index < max_relays:
+        raise ValueError("relay index %d is outside [0, %d)"
+                         % (index, max_relays))
+    return index
 
 
 def index_bits(max_relays) -> int:
@@ -146,9 +156,8 @@ def encode_message(msg, max_relays) -> str:
     """Wire format: one kind bit then the big-endian payload."""
     if isinstance(msg, DeathMessage):
         nbits = index_bits(max_relays)
-        if msg.index < 0 or msg.index >= max_relays:
-            raise ValueError("death index out of range")
-        payload = format(msg.index, "0%db" % nbits) if nbits else ""
+        index = _slot_index(msg.index, max_relays)
+        payload = format(index, "0%db" % nbits) if nbits else ""
         return "0" + payload
     if isinstance(msg, BirthMessage):
         if len(msg.active) != max_relays:

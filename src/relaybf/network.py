@@ -66,8 +66,12 @@ def combine(gx, w, alphas, v):
 def _signal_power(w, hbar):
     """|w^H hbar|^2 over the leading (relay) axis; broadcasts over links."""
     # np.square, as `**` on arrays: for a single vector the sum is a numpy
-    # scalar, whose `** 2` calls pow and may differ in the last place
-    return np.square(np.abs(relay_sum(np.conj(w) * hbar)))
+    # scalar, whose `** 2` calls pow and may differ in the last place.
+    # w*conj(hbar) is the conjugate of conj(w)*hbar bit for bit, up to the
+    # signs of zeros, and so is its relay sum, as rounding is symmetric; the
+    # modulus ignores signs.  Conjugating hbar, which a candidate stack
+    # broadcasts, takes a smaller temporary than conjugating w.
+    return np.square(np.abs(relay_sum(w * np.conj(hbar))))
 
 
 def _noise_gain(w, gbar2):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaybf.adaptation import (ConstraintKind, Scheme,
@@ -110,6 +110,58 @@ def test_pm_probes_are_tr_probes_at_plus_minus_beta():
             np.testing.assert_array_equal(
                 np.stack(probes(Scheme.PM, link, q, 0.3, constraint)),
                 np.stack([p, m]))
+
+
+# how each link of a drawn stack is set: left as drawn, scaled down until
+# the projection falls back to w, set huge until |w|^2 (sum power) or |w_i|
+# (per relay) overflows, or set to minus or plus the step, so that one PM
+# candidate is exactly zero and falls back while the other does not
+_LINK_KINDS = ["drawn", "tiny", "huge", "-step", "+step"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 9),
+       links=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       kinds=st.lists(st.sampled_from(_LINK_KINDS), min_size=9, max_size=9),
+       huge=st.sampled_from([1e160, 1e308]),
+       scheme=st.sampled_from([Scheme.PM, Scheme.TR]),
+       constraint=st.sampled_from([SUM, PER]),
+       beta=st.sampled_from([0.1, -0.5, 2.0, 1e-14]))
+@example(seed=0, r=3, links=[3, 3], kinds=_LINK_KINDS * 2, huge=1e308,
+         scheme=Scheme.PM, constraint=SUM, beta=0.1)
+@example(seed=0, r=3, links=[3, 3], kinds=_LINK_KINDS * 2, huge=1e308,
+         scheme=Scheme.PM, constraint=PER, beta=0.1)
+def test_stacked_probes_equal_each_projection_alone(seed, r, links, kinds,
+                                                    huge, scheme, constraint,
+                                                    beta):
+    # The candidate stack of `probes`, one block projected in one call, has
+    # the bits of `project` on each candidate alone, w + beta*q and, for PM,
+    # w - beta*q, whichever branch the block takes: links whose candidates
+    # fall back to w or overflow sit next to ordinary ones.  The same holds
+    # when the block is a reused array with stale contents.
+    q = build_perturbation_set(r, scheme).column(r)
+    step = beta * q.reshape((r,) + (1,) * len(links))
+    w = complex_normal(np.random.default_rng(seed), (r,) + tuple(links))
+    flat = w.reshape(r, -1)  # a view: setting a link sets it in w
+    for i, kind in enumerate(kinds[:flat.shape[1]]):
+        if kind == "tiny":
+            flat[:, i] *= 1e-14
+        elif kind == "huge":
+            flat[:, i] = huge * (1.5 - 1.5j)
+        elif kind != "drawn":
+            flat[:, i] = (-1.0 if kind == "-step" else 1.0) \
+                * step.reshape(r, -1)[:, 0]
+    alone = [project(w + step, constraint, w)]
+    if scheme is Scheme.PM:
+        alone.append(project(w - step, constraint, w))
+    block = np.full((r, len(alone)) + tuple(links), np.nan + 0j)
+    for out in (None, block):
+        stack = probes(scheme, w, q, beta, constraint, out)
+        assert stack.shape == (len(alone),) + w.shape
+        assert out is None or np.shares_memory(stack, block)
+        for got, want in zip(stack, alone):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_project_rejects_unknown_constraint():

@@ -348,15 +348,17 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                                    hbar, gbar2, noise)
         return w, best, take
 
-    def measure(c):
-        # the objectives of the stack are those of each link alone, a
-        # single vector (R,) whose relay sum is a numpy scalar
-        j = engine._objective_batch(snr, c, hbar, gbar2, noise)
-        for i in range(links):
-            assert j[i] == (network._signal_power(c[:, i], hbar[:, i])
-                            if objective is Objective.POWER
-                            else network._snr(c[:, i], hbar[:, i],
-                                              gbar2[:, i], noise))
+    def measure(cand):
+        # the objectives of the candidate stack are those of each candidate
+        # and link alone, a single vector (R,) whose relay sum is a numpy
+        # scalar
+        j = engine._objective_batch(snr, cand, hbar, gbar2, noise)
+        for c, j_c in zip(cand, j):
+            for i in range(links):
+                assert j_c[i] == (network._signal_power(c[:, i], hbar[:, i])
+                                  if objective is Objective.POWER
+                                  else network._snr(c[:, i], hbar[:, i],
+                                                    gbar2[:, i], noise))
         return j
 
     pset = build_perturbation_set(r, scheme)
@@ -367,7 +369,7 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
               for _ in range(links)]
     for k in range(30):
         cand = probes(scheme, w, pset.column(k), beta, constraint)
-        j = [measure(c) for c in cand]
+        j = measure(cand)
         # the public decision rule, with the drawn forgetting factor, on the
         # public objectives; PM passes the stored best through
         bit, next_best = decide(scheme, j, best, forgetting)
@@ -412,11 +414,15 @@ _OBJECTIVE_STACKS = [
 
 @settings(max_examples=60, deadline=None)
 @given(r=st.integers(1, 9), stack=st.sampled_from(_OBJECTIVE_STACKS),
+       num_probes=st.sampled_from([1, 2]),
        snr_db=st.lists(st.floats(-10.0, 40.0), min_size=2, max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_objective_batch_matches_each_entry_alone(r, stack, snr_db, seed):
-    # each entry of the stack has the bits of its objective, `network._snr`
-    # or `network._signal_power`, on its single vector (R,) alone
+def test_objective_batch_matches_each_entry_alone(r, stack, num_probes,
+                                                  snr_db, seed):
+    # each entry of a candidate block (TR's one probe or PM's two, stacked
+    # candidate first as `probes` returns them) has the bits of its
+    # objective, `network._snr` or `network._signal_power`, on its single
+    # vector (R,) alone
     objectives, snr = stack
     rng = np.random.default_rng(seed)
     noise = 10.0 ** (-np.array(snr_db)[:, None] / 10.0)  # (points, 1)
@@ -426,25 +432,26 @@ def test_objective_batch_matches_each_entry_alone(r, stack, snr_db, seed):
     gbar2 = np.abs(gbar) ** 2
     if objectives is None:  # one SNR point, no scheme axis
         hbar, gbar2, noise = hbar[:, 0], gbar2[:, 0], noise[0, 0]
-        w = complex_normal(rng, (r, 3))
-        j = engine._objective_batch(snr, w, hbar, gbar2, noise)
+        cand = complex_normal(rng, (num_probes, r, 3))
+        j = engine._objective_batch(snr, cand, hbar, gbar2, noise)
         entries = [(Objective.SNR, (i,), (i,), noise) for i in range(3)]
     else:
-        w = complex_normal(rng, (r, len(objectives), 2, 3))
-        j = engine._objective_batch(snr, w, hbar[:, None], gbar2[:, None],
-                                    noise)
+        cand = complex_normal(rng, (num_probes, r, len(objectives), 2, 3))
+        j = engine._objective_batch(snr, cand, hbar[:, None],
+                                    gbar2[:, None], noise)
         entries = [(o, (s, p, i), (p, i), noise[p, 0])
                    for s, o in enumerate(objectives)
                    for p in range(2) for i in range(3)]
-    assert j.shape == w.shape[1:]
-    for objective, at, link, noise_at in entries:
-        w_at, hbar_at = w[(slice(None),) + at], hbar[(slice(None),) + link]
-        if objective is Objective.POWER:
-            alone = network._signal_power(w_at, hbar_at)
-        else:
-            alone = network._snr(w_at, hbar_at,
-                                 gbar2[(slice(None),) + link], noise_at)
-        assert j[at].tobytes() == alone.tobytes(), (objective, at)
+    assert j.shape == (num_probes,) + cand.shape[2:]
+    for c, j_c in zip(cand, j):
+        for objective, at, link, noise_at in entries:
+            w_at, hbar_at = c[(slice(None),) + at], hbar[(slice(None),) + link]
+            if objective is Objective.POWER:
+                alone = network._signal_power(w_at, hbar_at)
+            else:
+                alone = network._snr(w_at, hbar_at,
+                                     gbar2[(slice(None),) + link], noise_at)
+            assert j_c[at].tobytes() == alone.tobytes(), (objective, at)
 
 
 def test_convergence_shapes_and_progress():

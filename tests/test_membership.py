@@ -89,6 +89,10 @@ def test_decode_rejects_malformed_input():
         decode_message("1101", 5)  # birth payload must be 5 bits
     with pytest.raises(ValueError):
         encode_message(DeathMessage(5), 5)
+    # the registry's index rule: a bool or a non-integer names no slot
+    for index in (True, 1.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            encode_message(DeathMessage(index), 3)
     with pytest.raises(ValueError):
         encode_message(BirthMessage((True,)), 2)
 
