@@ -171,6 +171,20 @@ def probes(scheme, w, q, beta, constraint, out=None):
     return project(raw, constraint, w, out=raw).swapaxes(0, 1)
 
 
+def probe_block(scheme, w):
+    """An empty relays-first block (R, P, ...) for the `probes` of weights
+    `w` (R, ...), which a frame loop passes to `probes` every frame, so
+    that they fill it in place.
+
+    A block allocated and freed every frame can make glibc's malloc hand
+    the top of the heap back to the system and fault it in again on the
+    next frame; on a 2000-link convergence block that cost more than one
+    stacked projection saves.
+    """
+    num_probes = 2 if scheme is Scheme.PM else 1
+    return np.empty((w.shape[0], num_probes) + w.shape[1:], dtype=complex)
+
+
 def decide(scheme, objectives, best=None, forgetting=1.0):
     """(feedback bit, next stored best) from the objectives of `probes`.
 

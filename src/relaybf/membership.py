@@ -175,10 +175,8 @@ def decode_message(bits: str, max_relays):
         nbits = index_bits(max_relays)
         if len(payload) != nbits:
             raise ValueError("death payload must be %d bits" % nbits)
-        index = int(payload, 2) if nbits else 0
-        if index >= max_relays:
-            raise ValueError("death index out of range")
-        return DeathMessage(index)
+        return DeathMessage(_slot_index(int(payload, 2) if nbits else 0,
+                                        max_relays))
     if len(payload) != max_relays:
         raise ValueError("birth payload must be %d bits" % max_relays)
     return BirthMessage(tuple(c == "1" for c in payload))

@@ -111,7 +111,7 @@ def test_criterion_01_convergence_fractions():
 def test_criterion_02_tr_monotonicity():
     n, frames = 1000, 500
     noise = 10.0 ** (-SNR_DB / 10.0)
-    cfg = ExperimentConfig(scheme="tr",
+    cfg = ExperimentConfig(scheme="tr", betas=[0.1], forgetting_factor=1.0,
                            distances=DISTANCES, num_realizations=n,
                            num_frames=frames, block_size=n, seed=SEED)
     h, g = engine._draw_channels(cfg, 0, n)
@@ -123,9 +123,9 @@ def test_criterion_02_tr_monotonicity():
     prev = network._snr(w, hbar, gbar2, noise)
     violations = 0
     for k in range(frames):
-        w, best, _ = engine._tr_batch(w, best, k, 0.1, pset,
-                                      ConstraintKind.SUM_POWER, slice(None),
-                                      hbar, gbar2, noise, 1.0)
+        w, best, _ = engine._adapt(cfg, pset, k, w, best, slice(None),
+                                   ConstraintKind.SUM_POWER, hbar, gbar2,
+                                   noise)
         cur = network._snr(w, hbar, gbar2, noise)
         violations += int(np.count_nonzero(cur < prev))
         prev = cur

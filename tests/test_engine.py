@@ -340,13 +340,12 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
     # the whole stack scores the drawn objective, as in a convergence block
     snr = None if objective is Objective.POWER else slice(None)
 
+    cfg = ExperimentConfig(scheme=scheme, betas=[beta],
+                           forgetting_factor=forgetting)
+
     def step(w, best, k, hbar, gbar2):
-        if scheme is Scheme.TR:
-            return engine._tr_batch(w, best, k, beta, pset, constraint,
-                                    snr, hbar, gbar2, noise, forgetting)
-        w, take = engine._pm_batch(w, k, beta, pset, constraint, snr,
-                                   hbar, gbar2, noise)
-        return w, best, take
+        return engine._adapt(cfg, pset, k, w, best, snr, constraint, hbar,
+                             gbar2, noise)
 
     def measure(cand):
         # the objectives of the candidate stack are those of each candidate
@@ -631,18 +630,20 @@ def test_ber_block_adapts_only_before_frames_it_detects(monkeypatch):
     # one step per warm-up frame and one between data frames, per weight
     # stack: the weights after the last data frame are never read
     calls = []
-    pm_batch = engine._pm_batch
+    adapt = engine._adapt
 
-    def counting_pm_batch(*args):
+    def counting_adapt(*args):
         calls.append(1)
-        return pm_batch(*args)
+        return adapt(*args)
 
-    monkeypatch.setattr(engine, "_pm_batch", counting_pm_batch)
-    cfg = ExperimentConfig(**{**BER_CFG,
-                              "schemes": ["no-bf", "pb-egc", "pb-s-sp"]})
-    run_ber_experiment(cfg)
+    monkeypatch.setattr(engine, "_adapt", counting_adapt)
     blocks, stacks = 48 // 16, 2  # per-relay pb-egc, sum-power pb-s-sp
-    assert len(calls) == blocks * stacks * (60 + 5 - 1)
+    for scheme in ("pm", "tr"):
+        calls.clear()
+        run_ber_experiment(ExperimentConfig(**{
+            **BER_CFG, "scheme": scheme,
+            "schemes": ["no-bf", "pb-egc", "pb-s-sp"]}))
+        assert len(calls) == blocks * stacks * (60 + 5 - 1), scheme
 
 
 @settings(max_examples=40, deadline=None)

@@ -81,10 +81,11 @@ def test_decode_rejects_malformed_input():
         decode_message("01x", 5)
     with pytest.raises(ValueError):
         decode_message("001", 5)  # death payload must be 3 bits
-    with pytest.raises(ValueError):
-        decode_message("0111", 5)  # index 7 out of range
-    with pytest.raises(ValueError):
-        decode_message("0101", 5)  # index 5, one past the last relay
+    # the registry's index rule, with its message
+    with pytest.raises(ValueError, match=r"relay index 7 is outside \[0, 5\)"):
+        decode_message("0111", 5)
+    with pytest.raises(ValueError, match=r"relay index 5 is outside \[0, 5\)"):
+        decode_message("0101", 5)  # one past the last relay
     with pytest.raises(ValueError):
         decode_message("1101", 5)  # birth payload must be 5 bits
     with pytest.raises(ValueError):
