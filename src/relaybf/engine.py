@@ -463,6 +463,22 @@ def _draw_ber_noise(cfg, start, count):
     return bits, np.divide(z, np.sqrt(2.0), out=z)
 
 
+def _scheme_stacks(schemes, r, link_shape):
+    """One stack per constraint of the adaptive `schemes` ((objective,
+    constraint) per token): their positions, the slice of the stack's
+    scheme axis that scores the SNR (pb-s-sp, held at most once) or None,
+    the constraint and the start weights (R, schemes, *link_shape)."""
+    adaptive = {}
+    for t, (objective, ck) in enumerate(schemes):
+        if objective is not None:
+            adaptive.setdefault(ck, []).append(t)
+    for ck, members in adaptive.items():
+        snr = next((slice(i, i + 1) for i, t in enumerate(members)
+                    if schemes[t][0] is Objective.SNR), None)
+        w0 = init_weights(r, ck).reshape((r,) + (1,) * (1 + len(link_shape)))
+        yield members, snr, ck, np.tile(w0, (1, len(members)) + link_shape)
+
+
 def _ber_block(cfg, points, start, count):
     """BER of one realization range at the SNR points `points`.
 
@@ -498,22 +514,13 @@ def _ber_block(cfg, points, start, count):
             hbar, gbar2 = compound[ck]
             fixed[t] = gains(oracles.closed_form(token, hbar, gbar2), hbar,
                              gbar2)
-    # adaptive schemes: one stack per constraint, with the positions of its
-    # schemes, the slice of its scheme axis that scores the SNR (pb-s-sp,
-    # which `schemes` holds at most once) and (hbar, |gbar|^2) with a scheme
-    # axis; `state` holds each stack's weights (R, schemes, points, count)
-    # and stored best
-    adaptive = {}
-    for t, (objective, ck) in enumerate(schemes):
-        if objective is not None:
-            adaptive.setdefault(ck, []).append(t)
+    # adaptive schemes: one stack per constraint, with (hbar, |gbar|^2) with
+    # a scheme axis; `state` holds each stack's weights (R, schemes, points,
+    # count) and stored best
     stacks, state = [], []
-    for ck, members in adaptive.items():
-        snr = next((slice(i, i + 1) for i, t in enumerate(members)
-                    if schemes[t][0] is Objective.SNR), None)
+    for members, snr, ck, w in _scheme_stacks(schemes, r,
+                                              (len(points), count)):
         hbar, gbar2 = (x[:, None] for x in compound[ck])
-        w = np.tile(init_weights(r, ck)[:, None, None, None],
-                    (1, len(members), len(points), count))
         stacks.append((members, snr, ck, hbar, gbar2,
                        adaptation.probe_block(cfg.scheme, w)))
         state.append((w, np.zeros(w.shape[1:])))
@@ -600,34 +607,37 @@ TrackingRow = collections.namedtuple(
     "TrackingRow", "scheme beta normalized_doppler bits errors ber")
 
 
-def _pm_track_frame(w, carry, beta, q, objective, constraint, gx, v,
+def _pm_track_frame(w, carry, beta, q, snr, constraint, pilots, data,
                     measured, whole):
     """One realistic PM frame for every link of `w` (R, *links).
 
-    `gx` (relay receptions times forward channels, (R, ..., L)) and `v`
-    (destination noise, (..., L)) come split into the plus pilot half, the
-    minus pilot half and the data interval; pilots are all ones, and their
-    estimates score the probes.  `measured` (R, ...) holds each relay's
-    mean received power.  Data is detected with `carry`, the previous
-    frame's winning half estimate (its own winner on frame 0), or with
-    `whole`, the full-interval estimate.  Returns (weights, winning half
-    estimate, data estimate, data samples).
+    `pilots` holds the forwarded receptions g*x (R, 2, ..., L/2) and noise
+    (2, ..., L/2) of the plus and minus pilot halves, `data` those of the
+    data interval, (R, ..., L) and (..., L).  One pass scores both probes
+    on their all-ones pilots' estimates: |h|^2, and the SNR estimate on the
+    entries `snr`, as in `_objective_batch`.  `measured` (R, ...) holds
+    each relay's mean received power.  Data is detected with `carry`, the
+    previous frame's winning half estimate (its own winner on frame 0), or
+    with `whole`, the full-interval estimate.  Returns (weights, winning
+    half estimate, data estimate, data samples).
     """
     alpha = network.relay_gains(_relay_power(constraint, w.shape[0]),
                                 measured)
     cand = adaptation.probes(Scheme.PM, w, q, beta, constraint)
-    *y, y_d = (network.combine(gx_seg, ww, alpha, v_seg)
-               for gx_seg, ww, v_seg in zip(gx, tuple(cand) + (w,), v))
-    h = [estimation._channel_estimate(yy) for yy in y]
-    j = [np.abs(hh) ** 2 if objective is Objective.POWER
-         else estimation._snr_estimate(hh, yy) for hh, yy in zip(h, y)]
+    y = network.combine(pilots[0], cand.swapaxes(0, 1), alpha[:, None],
+                        pilots[1])
+    h = estimation._channel_estimate(y)
+    j = np.abs(h) ** 2
+    if snr is not None:
+        j[:, snr] = estimation._snr_estimate(h[:, snr], y[:, snr])
     take_minus, _ = adaptation.decide(Scheme.PM, j)
     h_winner = np.where(take_minus, h[1], h[0])
     if whole:
         h_data = estimation._channel_estimate(np.concatenate(y, axis=-1))
     else:
         h_data = h_winner if carry is None else carry
-    return adaptation.select(w, cand, take_minus), h_winner, h_data, y_d
+    return (adaptation.select(w, cand, take_minus), h_winner, h_data,
+            network.combine(data[0], w, alpha, data[1]))
 
 
 def _draw_frame_noise(rngs, spare, s_total, r, num_data, noise_power):
@@ -663,17 +673,16 @@ def _tracking_block(cfg, start, count):
 
     The fading phases, noise and bits of each realization are drawn once.
     Each Doppler value gets one `JakesBank`, shared by every scheme and
-    beta; per scheme, all (beta, Doppler) points advance together on
-    link axes.  The chain runs relays first: fading, noise and receptions
-    are (R, D, count, S), with a beta axis of length one after the relays,
-    and weights (R, betas, D, count).  Returns the block's bits per point
-    and errors shaped (schemes, betas, dopplers).
+    beta; the schemes of one constraint share a weight stack (R, schemes,
+    betas, D, count), whose points all advance together.  The chain runs
+    relays first: fading, noise and receptions are (R, D, count, S), with
+    scheme and beta axes of length one after the relays.  Returns the
+    block's bits per point and errors shaped (schemes, betas, dopplers).
     """
     r = cfg.num_relays
     noise_power = config.noise_power(cfg.single("snr_db_grid", "tracking"))
     lp, ld = cfg.num_pilots, cfg.num_data
     s_total = lp + ld
-    segments = (slice(0, lp // 2), slice(lp // 2, lp), slice(lp, s_total))
     pl = PathLoss(cfg.distances)
     amps = np.concatenate([pl.amplitudes, pl.amplitudes])  # h then g processes
 
@@ -690,34 +699,37 @@ def _tracking_block(cfg, start, count):
     betas = np.array([float(b) for b in cfg.betas])[:, None, None]
 
     pset = build_perturbation_set(r, Scheme.PM)
-    schemes = [SCHEMES[token] for token in cfg.schemes]
-    weights = [np.tile(init_weights(r, ck)[:, None, None, None], (1,) + grid)
-               for _, ck in schemes]
-    carry = [None] * len(schemes)
+    stacks = list(_scheme_stacks([SCHEMES[t] for t in cfg.schemes], r, grid))
+    weights = [w for *_, w in stacks]
+    carry = [None] * len(stacks)
     whole = cfg.pm_estimation_mode == "whole"
-    errors = np.zeros((len(schemes),) + grid[:2], dtype=np.int64)
+    errors = np.zeros((len(cfg.schemes),) + grid[:2], dtype=np.int64)
     coeff = np.empty((2 * r, len(banks), count, s_total), dtype=complex)
     s = np.ones((count, s_total))  # pilots, then each frame's data symbols
     spare = None
+
+    def halves(a):  # the plus and minus pilot halves of a (..., S), as a view
+        return np.moveaxis(a[..., :lp].reshape(a.shape[:-1] + (2, -1)), -2, 0)
+
     for f in range(cfg.warmup_frames + cfg.num_frames):
         for d, bank in enumerate(banks):
             coeff[:, d] = bank.block(f * s_total, s_total).transpose(1, 0, 2)
-        h, g = coeff[:r, None], coeff[r:, None]          # (R, 1, D, count, S)
+        h, g = coeff[:r, None, None], coeff[r:, None, None]
         n, v, bits, spare = _draw_frame_noise(rngs, spare, s_total, r, ld,
                                               noise_power)
         s[:, lp:] = 1.0 - 2.0 * bits
         # source power 1
-        x, measured = network.relay_receive(h, s, n[:, None, None])
-        forwarded = g * x
-        gx = [forwarded[..., sl] for sl in segments]
-        vs = [v[:, sl] for sl in segments]
-        q = pset.column(f)
-        for t, (objective, ck) in enumerate(schemes):
-            weights[t], carry[t], h_data, y_d = _pm_track_frame(
-                weights[t], carry[t], betas, q, objective, ck, gx, vs,
-                measured, whole)
+        x, measured = network.relay_receive(h, s, n[:, None, None, None])
+        gx = g * x
+        # v (count, S) takes scheme, beta and Doppler axes of length one
+        pilots = halves(gx).swapaxes(0, 1), halves(v[None, None, None])
+        data = gx[..., lp:], v[:, lp:]
+        for i, (members, snr, ck, _) in enumerate(stacks):
+            weights[i], carry[i], h_data, y_d = _pm_track_frame(
+                weights[i], carry[i], betas, pset.column(f), snr, ck, pilots,
+                data, measured, whole)
             if f >= cfg.warmup_frames:
-                errors[t] += np.count_nonzero(
+                errors[members] += np.count_nonzero(
                     _detect_bits(y_d, h_data) != bits, axis=(-2, -1))
     return count * cfg.num_frames * ld, errors
 

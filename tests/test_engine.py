@@ -693,12 +693,23 @@ def _tracking_rows(res):
             for r in res.rows]
 
 
-@pytest.mark.parametrize("mode", ["split", "whole"])
-def test_tracking_stacked_grid_matches_points_run_alone(mode):
-    # pb-egc (per-relay, power) and pb-s-sp (sum power, SNR) share each
-    # block's draws and fading banks with every beta and Doppler value.
-    cfg = ExperimentConfig(**{**TRACK_CFG, "schemes": ["pb-egc", "pb-s-sp"],
-                              "betas": [0.1, 0.5],
+@pytest.mark.parametrize("mode, distances", [
+    pytest.param("split", [1.0, 3.0, 5.0], id="split"),
+    pytest.param("whole", [1.0, 3.0, 5.0], id="whole"),
+    # R = 1: `relay_receive`'s pairwise mean; R = 5: `relay_sum`'s np.sum
+    pytest.param("split", [2.0], id="split-R1"),
+    pytest.param("whole", [2.0], id="whole-R1"),
+    pytest.param("split", [1.0, 2.0, 3.0, 4.0, 5.0], id="split-R5"),
+    pytest.param("whole", [1.0, 2.0, 3.0, 4.0, 5.0], id="whole-R5"),
+])
+def test_tracking_stacked_grid_matches_points_run_alone(mode, distances):
+    # pb-p-sp and pb-s-sp share one sum-power stack, which scores power at
+    # its first entry and the SNR at its second; pb-egc (per-relay, power)
+    # runs on its own stack.  All share each block's draws and fading banks
+    # with every beta and Doppler value.
+    cfg = ExperimentConfig(**{**TRACK_CFG,
+                              "schemes": ["pb-p-sp", "pb-egc", "pb-s-sp"],
+                              "betas": [0.1, 0.5], "distances": distances,
                               "pm_estimation_mode": mode})
     alone = []
     for token in cfg.schemes:
@@ -800,50 +811,62 @@ SUM = ConstraintKind.SUM_POWER
 
 
 def _frame_inputs(bank, frame, rng, noise, num_pilots=10, num_data=40):
-    """One link's frame as `_tracking_block` feeds `_pm_track_frame`:
-    relays first, (R, 1, L) receptions and (R, 1) measured powers."""
+    """One link's frame as `_tracking_block` feeds `_pm_track_frame`,
+    relays first with a scheme axis of length one: the pilots' forwarded
+    receptions (R, 2, 1, 1, L/2) and noise (2, 1, 1, L/2), the plus and
+    minus halves stacked as views; the data interval's, (R, 1, 1, L) and
+    (1, L); and the measured powers (R, 1, 1)."""
     r = bank.phases.shape[-2] // 2
     s_total = num_pilots + num_data
     coeff = bank.block(frame * s_total, s_total).transpose(1, 0, 2)
-    h, g = coeff[:r], coeff[r:]                          # (R, 1, S)
+    h, g = coeff[:r, None], coeff[r:, None]                # (R, 1, 1, S)
     bits = rng.integers(0, 2, size=(1, num_data))
     s = np.concatenate([np.ones((1, num_pilots)), 1.0 - 2.0 * bits], axis=1)
-    x, measured = network.relay_receive(
-        h, s, complex_normal(rng, (1, s_total, r), noise).transpose(2, 0, 1))
+    x, measured = network.relay_receive(h, s, complex_normal(
+        rng, (1, s_total, r), noise).transpose(2, 0, 1)[:, None])
     v = complex_normal(rng, (1, s_total), noise)
-    half = num_pilots // 2
-    segments = (slice(0, half), slice(half, num_pilots),
-                slice(num_pilots, s_total))
-    return ([g[..., sl] * x[..., sl] for sl in segments],
-            [v[:, sl] for sl in segments], measured)
+    gx = g * x
+    pilots = (gx[..., :num_pilots].reshape(r, 1, 1, 2, -1)
+              .transpose(0, 3, 1, 2, 4),
+              v[:, :num_pilots].reshape(1, 2, -1).transpose(1, 0, 2)[:, None])
+    return pilots, (gx[..., num_pilots:], v[:, num_pilots:]), measured
 
 
 def test_realistic_pm_detection_uses_previous_winner():
     # split mode: the data interval of frame k+1 is detected with the
     # estimate that won frame k; frame 0 bootstraps from its own winner.
+    # One call runs a stack of two schemes, power at entry 0 and the SNR at
+    # entry 1; each entry follows its own per-probe reference.
     rng = np.random.default_rng(8)
     bank = JakesBank.draw(rng, (1, 4), 0.01 / 50, 1.0)
     pset = build_perturbation_set(2, Scheme.PM)
-    w = init_weights(2, SUM)
-    ws, carry = w[:, None], None
+    w = [init_weights(2, SUM)] * 2
+    ws, carry = np.tile(w[0][:, None, None], (1, 2, 1)), None
     for f in range(6):
-        gx, v, measured = _frame_inputs(bank, f, rng, 1e-3)
+        pilots, data, measured = _frame_inputs(bank, f, rng, 1e-3)
         ws, winner, h_data, _ = engine._pm_track_frame(
-            ws, carry, 0.1, pset.column(f), Objective.SNR, SUM, gx, v,
+            ws, carry, 0.1, pset.column(f), slice(1, 2), SUM, pilots, data,
             measured, False)
-        # the same frame through one link's candidates and the estimators
-        alpha = np.sqrt(1.0 / measured[:, 0])
-        cand = probes(Scheme.PM, w, pset.column(f), 0.1, SUM)
-        y = [np.sum(gx[i][:, 0] * (np.conj(c) * alpha)[:, None], axis=0)
-             + v[i][0] for i, c in enumerate(cand)]
-        halves = [estimation._channel_estimate(yy) for yy in y]
-        snr = [estimation._snr_estimate(hh, yy) for hh, yy in zip(halves, y)]
-        won = int(snr[1] > snr[0])
-        w = cand[won]
-        np.testing.assert_array_equal(ws[:, 0], w)
-        assert winner[0] == pytest.approx(halves[won], rel=1e-12)
-        assert h_data[0] == (winner[0] if carry is None else carry[0])
+        (gx, v), alpha = pilots, np.sqrt(1.0 / measured[:, 0, 0])
+        for m, objective in enumerate([Objective.POWER, Objective.SNR]):
+            # the same frame through one link's candidates and the
+            # estimators
+            cand = probes(Scheme.PM, w[m], pset.column(f), 0.1, SUM)
+            y = [np.sum(gx[:, i, 0, 0] * (np.conj(c) * alpha)[:, None],
+                        axis=0) + v[i, 0, 0] for i, c in enumerate(cand)]
+            halves = [estimation._channel_estimate(yy) for yy in y]
+            j = [np.abs(hh) ** 2 if objective is Objective.POWER
+                 else estimation._snr_estimate(hh, yy)
+                 for hh, yy in zip(halves, y)]
+            won = int(j[1] > j[0])
+            w[m] = cand[won]
+            np.testing.assert_array_equal(ws[:, m, 0], w[m])
+            assert winner[m, 0] == pytest.approx(halves[won], rel=1e-12)
+            assert h_data[m, 0] == (winner[m, 0] if carry is None
+                                    else carry[m, 0])
         carry = winner
+    # the two objectives took different probes on some frame
+    assert not np.array_equal(w[0], w[1])
 
 
 def test_realistic_pm_whole_mode_averages_the_halves():
@@ -853,19 +876,20 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     bank = JakesBank.draw(rng, (1, 4), 0.0, 1.0)
     coeff = bank.block(0, 1)[0, :, 0]
     h, g = coeff[:2], coeff[2:]
-    gx, v, measured = _frame_inputs(bank, 0, rng, 0.0)
+    pilots, data, measured = _frame_inputs(bank, 0, rng, 0.0)
     pset = build_perturbation_set(2, Scheme.PM)
     w0 = init_weights(2, SUM)
     # column 1 is not aligned with w0, so the two halves differ
     _, winner, h_data, _ = engine._pm_track_frame(
-        w0[:, None], np.array([7.0 + 0j]), 0.1, pset.column(1),
-        Objective.POWER, SUM, gx, v, measured, True)
+        w0[:, None, None], np.array([[7.0 + 0j]]), 0.1, pset.column(1),
+        None, SUM, pilots, data, measured, True)
     plus, minus = probes(Scheme.PM, w0, pset.column(1), 0.1, SUM)
     a = lambda c: np.sum(np.conj(c) * g * h / np.abs(h))
     assert a(plus) != pytest.approx(a(minus), rel=1e-3)
-    assert h_data[0] == pytest.approx(0.5 * (a(plus) + a(minus)), rel=1e-12)
-    assert winner[0] == pytest.approx(max(a(plus), a(minus), key=abs),
-                                      rel=1e-12)
+    assert h_data[0, 0] == pytest.approx(0.5 * (a(plus) + a(minus)),
+                                         rel=1e-12)
+    assert winner[0, 0] == pytest.approx(max(a(plus), a(minus), key=abs),
+                                         rel=1e-12)
 
 
 def test_snr_at_ber_interpolation():
