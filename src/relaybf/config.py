@@ -34,8 +34,10 @@ SCHEMES = {
     "pb-p-sp": (Objective.POWER, ConstraintKind.SUM_POWER),
     "pb-s-sp": (Objective.SNR, ConstraintKind.SUM_POWER),
 }
+# adaptive token -> its closed-form optimum; the keys are the tokens that adapt
+REFERENCES = {"pb-egc": "egc", "pb-p-sp": "p-sp", "pb-s-sp": "s-sp"}
 DEFAULT_BER_SCHEMES = ["no-bf", "egc", "p-sp", "s-sp", "pb-p-sp", "pb-s-sp"]
-DEFAULT_TRACKING_SCHEMES = ["pb-s-sp"]
+DEFAULT_PB_SCHEMES = ["pb-s-sp"]  # of tracking and convergence
 
 _DEFAULT_CDF_FRAMES = (10, 20, 40, 70, 100)
 _MAX_BETA = 1e150

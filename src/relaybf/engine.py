@@ -27,8 +27,8 @@ from . import adaptation, channel, config, estimation, network, oracles
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
                          init_weights)
 from .channel import JakesBank, PathLoss
-from .config import (DEFAULT_BER_SCHEMES, DEFAULT_TRACKING_SCHEMES, SCHEMES,
-                     ConfigError, ExperimentConfig, Objective)
+from .config import (DEFAULT_BER_SCHEMES, DEFAULT_PB_SCHEMES, REFERENCES,
+                     SCHEMES, ConfigError, ExperimentConfig, Objective)
 
 _STREAM_CHANNEL = 0
 _STREAM_NOISE = 1
@@ -223,22 +223,24 @@ def _draw_channels(cfg, start, count):
     return np.ascontiguousarray(h), np.ascontiguousarray(g)
 
 
-def _ssp_reference(hbar, gbar2, noise_power):
-    """The s-sp weights' SNR on sum-power compound channels (R, *links).
+def _reference(token, snr, hbar, gbar2, noise_power):
+    """`_objective_batch`'s objective (1, *links), with `snr`, of the
+    closed-form weights `token` on compound channels (R, *links).
 
     Raises `ConfigError` unless every link's value is finite and positive:
-    otherwise the closed forms divide by an underflowed norm, or the SNR
+    otherwise the closed forms divide by an underflowed norm, or the
     objectives overflow, and every curve would rest on NaN or inf values.
     """
     # a noise power far from the channel gains underflows or overflows the
-    # SNR, which the check below turns into a one-line error
+    # objective, which the check below turns into a one-line error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        snr_opt = network._snr(oracles.closed_form("s-sp", hbar, gbar2),
-                               hbar, gbar2, noise_power)
-    if not np.all((snr_opt > 0) & (snr_opt < np.inf)):
-        raise ConfigError("the s-sp SNR is not finite and positive: at this "
-                          "noise power every relay's SNR is out of range")
-    return snr_opt
+        j = _objective_batch(snr, oracles.closed_form(token, hbar, gbar2)[None],
+                             hbar, gbar2, noise_power)
+    if not np.all((j > 0) & (j < np.inf)):
+        raise ConfigError("the %s %s is not finite and positive: at this "
+                          "noise power every relay's SNR is out of range"
+                          % (token, "power" if snr is None else "SNR"))
+    return j
 
 
 def oracle_margins(cfg: ExperimentConfig, num_vectors):
@@ -253,7 +255,7 @@ def oracle_margins(cfg: ExperimentConfig, num_vectors):
     gbar2 = np.abs(gbar) ** 2
     # the margins are ratios to the closed forms' objectives, which must be
     # finite and positive
-    _ssp_reference(hbar, gbar2, noise_power)
+    _reference("s-sp", slice(None), hbar, gbar2, noise_power)
     power = adaptation.relay_sum(np.abs(hbar) ** 2)  # ||hbar||^2
     psp_dev = np.abs(network._signal_power(oracles.closed_form(
         "p-sp", hbar, gbar2), hbar) - power) / np.maximum(power, 1.0)
@@ -307,7 +309,7 @@ GapCdfRow = collections.namedtuple("GapCdfRow", "frames gap_threshold fraction")
 
 @dataclass
 class ConvergenceResult:
-    """Normalized-SNR trajectories plus the gap distribution at key frames."""
+    """J(w)/J(ref) trajectories plus the gap distribution at key frames."""
 
     config: ExperimentConfig
     snr_normalized: np.ndarray   # (num_trajectories, num_frames)
@@ -333,48 +335,53 @@ class ConvergenceResult:
 
 def _convergence_block(cfg, start, count):
     r = cfg.num_relays
-    constraint = SCHEMES["pb-s-sp"][1]
+    ((_, snr, constraint, w),) = _scheme_stacks(cfg.schemes, r, (count,))
     noise_power = config.noise_power(cfg.single("snr_db_grid", "convergence"))
     h, g = _draw_channels(cfg, start, count)
-    hbar, gbar = network.ideal_compound(h, g, _relay_power(constraint, r),
-                                        noise_power)
+    # (R, 1, count), with the scheme axis of the weight stack
+    hbar, gbar = network.ideal_compound(
+        h[:, None], g[:, None], _relay_power(constraint, r), noise_power)
     gbar2 = np.abs(gbar) ** 2
-    snr_opt = _ssp_reference(hbar, gbar2, noise_power)
+    ref = _reference(REFERENCES[cfg.schemes[0]], snr, hbar, gbar2,
+                     noise_power)[0, 0]
     pset = build_perturbation_set(r, cfg.scheme)
-    w = np.tile(init_weights(r, constraint)[:, None], (1, count))
     block = adaptation.probe_block(cfg.scheme, w)
-    best = np.zeros(count)
+    best = np.zeros(w.shape[1:])
     n_traj = max(0, min(cfg.num_trajectories - start, count))
     snr_traj = np.empty((n_traj, cfg.num_frames))
     bit_traj = np.empty((n_traj, cfg.num_frames), dtype=np.int8)
-    # the links whose trajectories are recorded; the SNR is elementwise, so
-    # on them alone it has the bits it has on the whole block
-    traj = slice(0, n_traj)
     wanted = set(cfg.cdf_frames)
     gaps_at = {}
     for k in range(cfg.num_frames + 1):
+        # J(w)/J(ref) on every link at cdf_frames, else on the recorded
+        # links alone, where the elementwise objective keeps its bits
+        links = slice(None) if k in wanted else slice(0, n_traj)
+        if k in wanted or (n_traj and k < cfg.num_frames):
+            ratio = _objective_batch(snr, w[None, ..., links],
+                                     hbar[..., links], gbar2[..., links],
+                                     noise_power)[0, 0] / ref[links]
         if k in wanted:
-            ratio = network._snr(w, hbar, gbar2, noise_power) / snr_opt
             gaps_at[k] = 1.0 - ratio
-        elif n_traj and k < cfg.num_frames:
-            ratio = network._snr(w[:, traj], hbar[:, traj], gbar2[:, traj],
-                                 noise_power) / snr_opt[traj]
         if k == cfg.num_frames:
             break
         if n_traj:
-            snr_traj[:, k] = ratio[traj]
-        # every link scores the SNR (pb-s-sp)
-        w, best, bit = _adapt(cfg, pset, k, w, best, slice(None), constraint,
-                              hbar, gbar2, noise_power, block)
+            snr_traj[:, k] = ratio[:n_traj]
+        w, best, bit = _adapt(cfg, pset, k, w, best, snr, constraint, hbar,
+                              gbar2, noise_power, block)
         if n_traj:
-            bit_traj[:, k] = bit[:n_traj]
+            bit_traj[:, k] = bit[0, :n_traj]
     return start, snr_traj, bit_traj, gaps_at
 
 
 def run_convergence_experiment(cfg: ExperimentConfig, workers=1) -> ConvergenceResult:
-    """Idealized pb-s-sp adaptation against the exact s-sp oracle."""
+    """Idealized adaptation of the one token of `cfg.schemes` (pb-s-sp by
+    default) against its closed form in `REFERENCES`, on its own objective."""
     cfg.single("snr_db_grid", "convergence")  # fails before any block starts
     cfg.single("betas", "convergence")
+    cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_PB_SCHEMES))
+    token = cfg.single("schemes", "convergence")
+    if token not in REFERENCES:
+        raise ConfigError("convergence adapts a pb-* token, got %r" % token)
     n = cfg.num_realizations
     gaps_at = {f: np.empty(n) for f in cfg.cdf_frames}
     parts = []
@@ -463,18 +470,18 @@ def _draw_ber_noise(cfg, start, count):
     return bits, np.divide(z, np.sqrt(2.0), out=z)
 
 
-def _scheme_stacks(schemes, r, link_shape):
-    """One stack per constraint of the adaptive `schemes` ((objective,
-    constraint) per token): their positions, the slice of the stack's
-    scheme axis that scores the SNR (pb-s-sp, held at most once) or None,
-    the constraint and the start weights (R, schemes, *link_shape)."""
+def _scheme_stacks(tokens, r, link_shape):
+    """One stack per constraint of the adaptive `tokens` (the keys of
+    `config.REFERENCES`): their positions, the slice of the stack's scheme
+    axis that scores the SNR (pb-s-sp, held at most once) or None, the
+    constraint and the start weights (R, schemes, *link_shape)."""
     adaptive = {}
-    for t, (objective, ck) in enumerate(schemes):
-        if objective is not None:
-            adaptive.setdefault(ck, []).append(t)
+    for t, token in enumerate(tokens):
+        if token in REFERENCES:
+            adaptive.setdefault(SCHEMES[token][1], []).append(t)
     for ck, members in adaptive.items():
         snr = next((slice(i, i + 1) for i, t in enumerate(members)
-                    if schemes[t][0] is Objective.SNR), None)
+                    if SCHEMES[tokens[t]][0] is Objective.SNR), None)
         w0 = init_weights(r, ck).reshape((r,) + (1,) * (1 + len(link_shape)))
         yield members, snr, ck, np.tile(w0, (1, len(members)) + link_shape)
 
@@ -493,14 +500,15 @@ def _ber_block(cfg, points, start, count):
     noise_power = np.array(
         [config.noise_power(cfg.snr_db_grid[p]) for p in points])[:, None]
     n_frames, n_data = cfg.num_frames, cfg.num_data
-    schemes = [SCHEMES[token] for token in cfg.schemes]
     h, g = _draw_channels(cfg, start, count)
     compound = {}  # constraint -> (hbar, |gbar|^2), each (R, points, count)
-    for ck in {ck for _, ck in schemes} | {ConstraintKind.SUM_POWER}:
+    for ck in {SCHEMES[t][1] for t in cfg.schemes} \
+            | {ConstraintKind.SUM_POWER}:
         hbar, gbar = network.ideal_compound(h[:, None], g[:, None],
                                             _relay_power(ck, r), noise_power)
         compound[ck] = hbar, np.abs(gbar) ** 2
-    _ssp_reference(*compound[ConstraintKind.SUM_POWER], noise_power)
+    _reference("s-sp", slice(None), *compound[ConstraintKind.SUM_POWER],
+               noise_power)
 
     def gains(w, hbar, gbar2):
         """Detection gain a = w^H hbar and noise scale sigma of weights w."""
@@ -509,16 +517,16 @@ def _ber_block(cfg, points, start, count):
 
     # closed-form weights never change: their gains hold for the block
     fixed = {}
-    for t, (token, (objective, ck)) in enumerate(zip(cfg.schemes, schemes)):
-        if objective is None:
-            hbar, gbar2 = compound[ck]
+    for t, token in enumerate(cfg.schemes):
+        if token not in REFERENCES:
+            hbar, gbar2 = compound[SCHEMES[token][1]]
             fixed[t] = gains(oracles.closed_form(token, hbar, gbar2), hbar,
                              gbar2)
     # adaptive schemes: one stack per constraint, with (hbar, |gbar|^2) with
     # a scheme axis; `state` holds each stack's weights (R, schemes, points,
     # count) and stored best
     stacks, state = [], []
-    for members, snr, ck, w in _scheme_stacks(schemes, r,
+    for members, snr, ck, w in _scheme_stacks(cfg.schemes, r,
                                               (len(points), count)):
         hbar, gbar2 = (x[:, None] for x in compound[ck])
         stacks.append((members, snr, ck, hbar, gbar2,
@@ -540,14 +548,14 @@ def _ber_block(cfg, points, start, count):
     bits, z = _draw_ber_noise(cfg, start, count)
     s = 1.0 - 2.0 * bits
 
-    errors = np.zeros((len(points), len(schemes)), dtype=np.int64)
+    errors = np.zeros((len(points), len(cfg.schemes)), dtype=np.int64)
     for f in range(n_frames):
         frame_gains = dict(fixed)
         for (members, *_, hbar, gbar2, _), (w, _) in zip(stacks, state):
             frame_gains.update(zip(members, zip(*gains(w, hbar, gbar2))))
         # detection stays per scheme: a y stacked over every scheme would
         # raise the block's peak memory for little time
-        for t in range(len(schemes)):
+        for t in range(len(cfg.schemes)):
             a, sigma = frame_gains[t]
             y = a[..., None] * s[:, f, :] + sigma[..., None] * z[:, f, :]
             det = _detect_bits(y, a)
@@ -699,7 +707,7 @@ def _tracking_block(cfg, start, count):
     betas = np.array([float(b) for b in cfg.betas])[:, None, None]
 
     pset = build_perturbation_set(r, Scheme.PM)
-    stacks = list(_scheme_stacks([SCHEMES[t] for t in cfg.schemes], r, grid))
+    stacks = list(_scheme_stacks(cfg.schemes, r, grid))
     weights = [w for *_, w in stacks]
     carry = [None] * len(stacks)
     whole = cfg.pm_estimation_mode == "whole"
@@ -745,8 +753,8 @@ def run_tracking_experiment(cfg: ExperimentConfig, workers=1) -> GridResult:
     if cfg.scheme is not Scheme.PM:
         raise ConfigError("tracking uses the PM scheme")
     cfg.single("snr_db_grid", "tracking")
-    cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_TRACKING_SCHEMES))
-    bad = [t for t in cfg.schemes if SCHEMES[t][0] is None]
+    cfg = replace(cfg, schemes=list(cfg.schemes or DEFAULT_PB_SCHEMES))
+    bad = [t for t in cfg.schemes if t not in REFERENCES]
     if bad:
         raise ConfigError("tracking supports adaptive schemes only, got %r" % bad)
     if cfg.num_pilots % 2:

@@ -363,3 +363,34 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         details.append("%s rerun=%s workers=%s"
                        % (command, same_rerun, same_workers))
     assert _report(11, identical, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# 12. the power-objective tokens approach their own closed forms
+
+# token -> least share of links with gap < 4.3% at frame 100 under PM and
+# TR. Measured on seeds 3 and 7 with this geometry (pb-p-sp 1.000/1.000 PM
+# and 1.000/0.9999 TR; pb-egc 0.9886/0.9889 PM and 0.5645/0.5720 TR). The
+# per-relay scheme takes about twice the frames of the sum-power ones under
+# PM, and under TR it is still far from its optimum at frame 100.
+_POWER_TOKEN_SHARES = {"pb-p-sp": (0.99, 0.99), "pb-egc": (0.97, 0.52)}
+
+
+@pytest.mark.parametrize("token", sorted(_POWER_TOKEN_SHARES))
+def test_criterion_12_power_tokens_approach_their_closed_forms(token):
+    # criterion 01's geometry; the gap is 1 - J(w)/J(ref) on the received
+    # power, against p-sp for pb-p-sp and egc for pb-egc
+    fractions = {}
+    for scheme in ("pm", "tr"):
+        cfg = ExperimentConfig(
+            scheme=scheme, betas=[0.1], snr_db_grid=[SNR_DB],
+            distances=DISTANCES, num_realizations=10_000, num_frames=100,
+            cdf_frames=[100], num_trajectories=0, block_size=2500,
+            seed=SEED, schemes=[token])
+        res = run_convergence_experiment(cfg)
+        fractions[scheme] = res.fraction_below(100, 0.043)
+    need = dict(zip(("pm", "tr"), _POWER_TOKEN_SHARES[token]))
+    ok = all(fractions[s] >= need[s] for s in need)
+    assert _report(12, ok, "%s gap<4.3%% @100: pm=%.4f tr=%.4f (need >=%.2f, "
+                   ">=%.2f)" % (token, fractions["pm"], fractions["tr"],
+                                need["pm"], need["tr"]))

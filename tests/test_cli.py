@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaybf.cli import main
-from relaybf.config import SCHEMES
+from relaybf.config import REFERENCES, SCHEMES
 from relaybf.engine import ConvergenceResult
 
 CONV_CFG = {
@@ -259,6 +259,37 @@ def test_idealized_commands_take_a_single_beta(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schemes,message", [
+    (["s-sp"], "convergence adapts a pb-* token, got 's-sp'"),
+    (["pb-s-sp", "pb-egc"], "convergence uses a single schemes entry"),
+], ids=["closed-form", "two-tokens"])
+def test_convergence_takes_one_adaptive_token(tmp_path, capsys, schemes,
+                                              message):
+    cfg = _cfg_file(tmp_path, {**CONV_CFG, "schemes": schemes})
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+
+
+def test_convergence_runs_the_token_it_records(tmp_path, capsys):
+    # pb-s-sp is the default; pb-egc adapts its own weights against egc, so
+    # its curves differ, and config.json names the token that ran
+    csvs = {}
+    for name, extra in (("default", {}), ("pb-s-sp", {"schemes": ["pb-s-sp"]}),
+                        ("pb-egc", {"schemes": ["pb-egc"]})):
+        cfg = _cfg_file(tmp_path, {**CONV_CFG, **extra}, name + ".json")
+        out = tmp_path / name
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        stored = json.loads((out / "config.json").read_text())
+        assert stored["schemes"] == extra.get("schemes", ["pb-s-sp"])
+        csvs[name] = [(out / f).read_bytes()
+                      for f in ("trajectories.csv", "gap_cdf.csv")]
+    capsys.readouterr()
+    assert csvs["default"] == csvs["pb-s-sp"]
+    assert all(a != b for a, b in zip(csvs["pb-egc"], csvs["pb-s-sp"]))
+
+
 def test_even_pilot_count_is_a_tracking_rule(tmp_path, capsys):
     # ber and convergence send no pilots, so an odd count is theirs to ignore
     cfg = _cfg_file(tmp_path, {**BER_CFG, "scheme": "pm", "num_pilots": 3})
@@ -362,7 +393,7 @@ _WIDE = st.floats(-40.0, 60.0) | st.floats(-40.0, 60.0) \
     | st.floats(-3200.0, 3300.0) | st.floats()
 _POSITIVE = st.floats(1e-3, 2.0) | st.floats(1e-3, 2.0) \
     | st.floats(min_value=0.0, allow_infinity=False)
-_ADAPTIVE = sorted(t for t, (objective, _) in SCHEMES.items() if objective)
+_ADAPTIVE = sorted(REFERENCES)
 # no large finite junk number: a size key set to 2**63 - 3 or 2.4e16 is a
 # valid config that would run for days
 _JUNK = st.none() | st.booleans() | st.text(max_size=2) \
@@ -439,6 +470,12 @@ _SMALL = {"num_realizations": 3, "num_frames": 2, "warmup_frames": 1,
                "distances": [1e-27] * 3})
 # omega * t overflows the fading phase to inf, and the channels to NaN
 @example(data={**_SMALL, "scheme": "pm", "normalized_doppler_grid": [1e308]})
+# every |hbar|^2 underflows, so each power reference is 0 (and the egc and
+# p-sp weights are 0/0)
+@example(data={**_SMALL, "scheme": "pm", "schemes": ["pb-p-sp"],
+               "distances": [1e70, 2e70], "snr_db_grid": [-2900.0]})
+@example(data={**_SMALL, "scheme": "pm", "schemes": ["pb-egc"],
+               "distances": [1e70, 2e70], "snr_db_grid": [-2900.0]})
 def test_any_json_config_exits_1_or_writes_finite_csvs(data):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"

@@ -398,16 +398,16 @@ CONV_CFG = dict(scheme="pm", num_realizations=48, num_frames=30,
                 snr_db_grid=[18.0], seed=11)
 
 
-# Every objective stack a run builds: a BER block's stacks (R, schemes,
-# points, count), by the objectives of their schemes with the SNR slice
-# that `_ber_block` derives, and a convergence block's (R, count), which
-# scores the SNR on every link.
+# Every objective stack a run builds: a BER or convergence block's stacks
+# (R, schemes, *links), by the objectives of their schemes with the SNR
+# slice that `_scheme_stacks` derives, and the s-sp reference (R, n) of
+# `oracle_margins`, which scores the SNR on every link.
 _OBJECTIVE_STACKS = [
     ((Objective.POWER,), None),                       # pb-egc or pb-p-sp
     ((Objective.POWER, Objective.SNR), slice(1, 2)),  # pb-p-sp, pb-s-sp
     ((Objective.SNR, Objective.POWER), slice(0, 1)),  # pb-s-sp, pb-p-sp
     ((Objective.SNR,), slice(0, 1)),                  # pb-s-sp
-    (None, slice(None)),                              # convergence
+    (None, slice(None)),                              # s-sp reference
 ]
 
 
@@ -475,26 +475,42 @@ def test_convergence_deterministic_and_worker_independent():
         np.testing.assert_array_equal(a.gaps_at_frames[f], b.gaps_at_frames[f])
 
 
+# each adaptive token's closed-form optimum, written out here so that the
+# test does not read the engine's table
+_OPTIMUM = {"pb-egc": "egc", "pb-p-sp": "p-sp", "pb-s-sp": "s-sp"}
+
+
 @settings(max_examples=30, deadline=None)
 @given(scheme=st.sampled_from(["tr", "pm"]), r=st.integers(1, 9),
        n=st.integers(1, 12), block_size=st.integers(1, 5),
        num_trajectories=st.integers(0, 14), frames=st.integers(1, 6),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
+       seed=st.integers(0, 2**32 - 1), token=st.sampled_from(sorted(_OPTIMUM)),
+       data=st.data())
 def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
                                                   num_trajectories, frames,
-                                                  seed, data):
-    # The blocks take every link's SNR only at cdf_frames and the recorded
-    # links' SNR at the other frames; the reference takes every link's SNR
-    # at every frame, and the trajectories, bits and gaps must keep their
-    # bits.
+                                                  seed, token, data):
+    # The blocks score a stacked (R, 1, count) array, every link only at
+    # cdf_frames and the recorded links at the other frames; the reference
+    # scores the unstacked (R, count) links, every link at every frame, on
+    # the token's objective (`network._snr` for pb-s-sp, else
+    # `network._signal_power`), and the trajectories, bits and gaps must
+    # keep their bits.
     cdf_frames = data.draw(st.lists(st.integers(0, frames), max_size=3))
     cfg = ExperimentConfig(
         scheme=scheme, distances=[1.0 + i for i in range(r)],
         num_realizations=n, num_frames=frames, block_size=block_size,
-        num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed)
+        num_trajectories=num_trajectories, cdf_frames=cdf_frames, seed=seed,
+        schemes=[token])
     res = run_convergence_experiment(cfg)
     noise = noise_power(cfg.snr_db_grid[0])
-    constraint = SCHEMES["pb-s-sp"][1]
+    objective, constraint = SCHEMES[token]
+    snr = slice(None) if objective is Objective.SNR else None
+
+    def score(w, hbar, gbar2):
+        if objective is Objective.SNR:
+            return network._snr(w, hbar, gbar2, noise)
+        return network._signal_power(w, hbar)
+
     pset = build_perturbation_set(r, cfg.scheme)
     ratio, bits = [], []
     for start, count in engine._block_ranges(cfg, n):
@@ -502,16 +518,15 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         hbar, gbar = network.ideal_compound(
             h, g, engine._relay_power(constraint, r), noise)
         gbar2 = np.abs(gbar) ** 2
-        opt = network._snr(oracles.closed_form("s-sp", hbar, gbar2), hbar,
-                           gbar2, noise)
+        opt = score(oracles.closed_form(_OPTIMUM[token], hbar, gbar2), hbar,
+                    gbar2)
         w = np.tile(init_weights(r, constraint)[:, None], (1, count))
         best = np.zeros(count)
         for k in range(frames + 1):
-            ratio.append(network._snr(w, hbar, gbar2, noise) / opt)
+            ratio.append(score(w, hbar, gbar2) / opt)
             if k < frames:
-                w, best, bit = engine._adapt(cfg, pset, k, w, best,
-                                             slice(None), constraint, hbar,
-                                             gbar2, noise)
+                w, best, bit = engine._adapt(cfg, pset, k, w, best, snr,
+                                             constraint, hbar, gbar2, noise)
                 bits.append(bit)
     # (realizations, frames + 1) and (realizations, frames)
     ratio = np.vstack([np.stack(ratio[i:i + frames + 1], axis=1)
