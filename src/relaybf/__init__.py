@@ -13,7 +13,7 @@ from .engine import (BerRow, ConvergenceResult, GapCdfRow, GridResult,
 from .membership import (BirthMessage, DeathMessage, ProtocolError,
                          RelayAgent, RelayRegistry, apply_birth, apply_death,
                          apply_message, decode_message, encode_message,
-                         exclude_coordinate, index_bits, insert_coordinate)
+                         index_bits, transition)
 from .oracles import random_search_margins
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,10 +9,13 @@ under a per-relay constraint the incumbents keep their weights and the
 newcomer starts at weight 1.  Every broadcast carries one leading kind bit
 (0 = death, 1 = birth) ahead of the payload.
 
-`apply_message` is the one transition of the active set.  The destination's
-`apply_death`/`apply_birth` and the relay-side mirror `RelayAgent` both go
-through it, so an agent driven only by feedback bits and broadcasts
-reproduces the destination's weight trajectory bit for bit.
+`apply_message` checks a broadcast and moves the active set; the
+destination's `apply_death`/`apply_birth` build their message and call it.
+`transition` is the one membership step of the adaptation state: it applies
+a broadcast to the registry, the weights (R, *links) and the frame clock,
+and the relay-side mirror `RelayAgent` runs it on its batch of one, so an
+agent driven only by feedback bits and broadcasts reproduces the
+destination's weight trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -182,32 +185,35 @@ def decode_message(bits: str, max_relays):
     return BirthMessage(tuple(c == "1" for c in payload))
 
 
-def exclude_coordinate(w, position, constraint):
-    """Drop one coordinate of the weights `w` (R,) and restore feasibility.
-
-    Sum-power vectors are renormalized over the survivors; if the departed
-    relay carried essentially all the weight, the uniform vector is the
-    fallback.  Per-relay vectors stay feasible entrywise and pass through the
-    same projection for bit-exact agreement between all nodes.
+def transition(reg: RelayRegistry, msg, w, frame, constraint):
+    """(registry, weights, frame clock) after the broadcast `msg`, by the
+    rules above, for weights `w` (R, *links); `ProtocolError` from
+    `apply_message`, before anything changes.  The survivors of a death are
+    projected with the start weights as the fallback (uniform if the
+    departed relay carried all the weight).  TR's stored best stays with
+    the caller: only the destination can measure the new vector.
     """
-    if w.size < 2:
-        raise ProtocolError("cannot drop the only coordinate")
-    w = np.delete(w, position)
-    return project(w, constraint, init_weights(w.size, constraint))
-
-
-def insert_coordinate(w, position):
-    """Insert a newcomer's weight (per-relay joins keep incumbent weights)."""
-    return np.insert(w, position, _NEWCOMER_WEIGHT)
+    new = apply_message(reg, msg)
+    r, links = new.num_active, np.shape(w)[1:]
+    start = init_weights(r, constraint).reshape((r,) + (1,) * len(links))
+    if isinstance(msg, DeathMessage):
+        w = np.delete(w, reg.position_of(msg.index), axis=0)
+        return new, project(w, constraint, start), frame
+    if constraint is ConstraintKind.SUM_POWER:
+        return new, np.broadcast_to(start, (r,) + links).copy(), 0
+    slot = int(np.argmax(new.active != reg.active))
+    return new, np.insert(w, new.position_of(slot), _NEWCOMER_WEIGHT,
+                          axis=0), frame
 
 
 class RelayAgent:
     """Relay-side replica of the shared adaptation trajectory.
 
     An agent knows only what is broadcast: the one feedback bit per frame and
-    the membership messages.  From those it reconstructs the full active-set
-    weight vector with exactly the arithmetic the destination uses, so the
-    trajectories agree bitwise.
+    the membership messages.  From those it rebuilds the active-set weights
+    (R,), a batch of one, with the destination's arithmetic (`probes` and
+    `select` for a bit, `transition` for a broadcast), so the trajectories
+    agree bitwise.
     """
 
     def __init__(self, relay_index, registry: RelayRegistry, scheme: Scheme,
@@ -217,12 +223,9 @@ class RelayAgent:
         self.scheme = scheme
         self.constraint = constraint
         self.beta = float(beta)
-        self._reset()
-        self.pset = build_perturbation_set(self.registry.num_active, scheme)
-
-    def _reset(self):
-        self.weights = init_weights(self.registry.num_active, self.constraint)
+        self.weights = init_weights(self.registry.num_active, constraint)
         self.frame_index = 0
+        self.pset = build_perturbation_set(self.registry.num_active, scheme)
 
     @property
     def is_active(self) -> bool:
@@ -246,15 +249,8 @@ class RelayAgent:
         self.frame_index += 1
 
     def apply_message(self, msg) -> None:
-        """Apply a membership broadcast to registry and weight mirror."""
-        old, self.registry = self.registry, apply_message(self.registry, msg)
-        slot = int(np.argmax(old.active != self.registry.active))
-        if isinstance(msg, DeathMessage):
-            self.weights = exclude_coordinate(
-                self.weights, old.position_of(slot), self.constraint)
-        elif self.constraint is ConstraintKind.SUM_POWER:
-            self._reset()
-        else:
-            self.weights = insert_coordinate(self.weights,
-                                             self.registry.position_of(slot))
+        """Apply a membership broadcast: `transition` on the batch of one,
+        so a rejected broadcast leaves the agent as it was."""
+        self.registry, self.weights, self.frame_index = transition(
+            self.registry, msg, self.weights, self.frame_index, self.constraint)
         self.pset = build_perturbation_set(self.registry.num_active, self.scheme)

@@ -46,8 +46,6 @@ from relaybf.membership import (
     apply_death,
     decode_message,
     encode_message,
-    exclude_coordinate,
-    insert_coordinate,
 )
 
 SEED = 20
@@ -275,7 +273,8 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
             if k == death_at:
                 pos = reg.position_of(1)
                 reg, msg = apply_death(reg, 1)
-                w = exclude_coordinate(w, pos, constraint)
+                w = project(np.delete(w, pos), constraint,
+                            init_weights(reg.num_active, constraint))
                 best = snr(w)  # TR restarts its benchmark; PM has none
             else:
                 reg, msg = apply_birth(reg, 1)
@@ -283,8 +282,7 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
                     w = init_weights(reg.num_active, constraint)
                     best, frame = 0.0, 0
                 else:
-                    pos = reg.position_of(1)
-                    w = insert_coordinate(w, pos)
+                    w = np.insert(w, reg.position_of(1), 1.0)
             pset = build_perturbation_set(reg.num_active, scheme)
             wire = encode_message(msg, rmax)
             for agent in agents:
@@ -302,9 +300,10 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
 
 
 def test_criterion_10_distributed_reconstruction():
-    # TR death keeps the mirror's frame clock; the agents never reset it on
-    # a death, so the reference must not either.  TR birth under sum power
-    # resets everything, matching RelayAgent._reset.
+    # The reference writes its own weight edits.  A death keeps the frame
+    # clock, as membership.transition does, and TR re-measures its stored
+    # best; a birth under sum power restarts the weights, the clock and the
+    # best, as transition restarts the agents' weights and clock.
     results = {}
     for scheme, constraint in ((Scheme.PM, ConstraintKind.PER_RELAY),
                                (Scheme.PM, ConstraintKind.SUM_POWER),

@@ -12,6 +12,7 @@ from relaybf.adaptation import (
     decide,
     init_weights,
     probes,
+    project,
     select,
 )
 from relaybf.channel import complex_normal
@@ -26,9 +27,8 @@ from relaybf.membership import (
     apply_message,
     decode_message,
     encode_message,
-    exclude_coordinate,
     index_bits,
-    insert_coordinate,
+    transition,
 )
 from relaybf.network import _signal_power
 
@@ -168,44 +168,124 @@ def test_death_and_birth_transitions():
         apply_death(solo, 2)
 
 
-def test_exclude_coordinate_sum_power():
-    out = exclude_coordinate(np.array([0.6, 0.8j, 0.0]), 0,
-                             ConstraintKind.SUM_POWER)
+def test_transition_death_sum_power():
+    reg = RelayRegistry.full(3)
+    reg2, out, frame = transition(reg, DeathMessage(0),
+                                  np.array([0.6, 0.8j, 0.0]), 7,
+                                  ConstraintKind.SUM_POWER)
+    assert list(reg2.active_indices()) == [1, 2] and frame == 7
     np.testing.assert_allclose(out, [1.0j, 0.0], atol=1e-15)
 
     # Departing relay carried all the weight: fall back to uniform.
-    out = exclude_coordinate(np.array([1.0, 0.0, 0.0], dtype=complex), 0,
-                             ConstraintKind.SUM_POWER)
+    _, out, _ = transition(reg, DeathMessage(0),
+                           np.array([1.0, 0.0, 0.0], dtype=complex), 7,
+                           ConstraintKind.SUM_POWER)
     np.testing.assert_allclose(out, np.full(2, 1 / np.sqrt(2)), atol=1e-15)
 
-    with pytest.raises(ProtocolError):
-        exclude_coordinate(np.array([1.0 + 0j]), 0, ConstraintKind.SUM_POWER)
+    # the only coordinate is the last active relay, which cannot leave
+    with pytest.raises(ProtocolError, match="last active relay"):
+        transition(RelayRegistry.from_indices(3, [2]), DeathMessage(2),
+                   np.array([1.0 + 0j]), 7, ConstraintKind.SUM_POWER)
 
 
-def test_exclude_coordinate_per_relay_keeps_phases():
+def test_transition_death_per_relay_keeps_phases():
     phases = np.exp(1j * np.array([0.3, 1.1, -2.0]))
-    out = exclude_coordinate(phases, 1, ConstraintKind.PER_RELAY)
+    _, out, frame = transition(RelayRegistry.full(3), DeathMessage(1), phases,
+                               7, ConstraintKind.PER_RELAY)
     np.testing.assert_allclose(out, phases[[0, 2]], atol=1e-12)
+    assert frame == 7
 
 
-def test_insert_coordinate():
+def test_transition_birth_inserts_the_newcomer():
+    reg = RelayRegistry.from_indices(3, [0, 2])
     w = np.exp(1j * np.array([0.5, -0.5]))
-    out = insert_coordinate(w, 1)
+    reg2, out, frame = transition(reg, BirthMessage((True, True, True)), w,
+                                  7, ConstraintKind.PER_RELAY)
+    assert reg2.num_active == 3 and frame == 7
     assert out.shape == (3,)
     assert out[1] == 1.0 + 0j
     np.testing.assert_allclose(out[[0, 2]], w, atol=1e-15)
+    # under sum power every link restarts at the start weights and frame 0
+    _, out, frame = transition(reg, BirthMessage((True, True, True)),
+                               np.stack([w, 2 * w], axis=1), 7,
+                               ConstraintKind.SUM_POWER)
+    assert frame == 0
+    assert np.array_equal(out, np.full((3, 2), 1 / np.sqrt(3) + 0j))
 
 
-def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
-    """Reference PM trajectory at the destination, with membership changes.
+@st.composite
+def _stacked_schedules(draw):
+    """A start mask with R = 2..6 active relays, weights (R, n) whose
+    entries include +-0 and 1e-13, so that projections fall back, and legal
+    deaths and births."""
+    r = draw(st.integers(2, 6))
+    rmax = draw(st.integers(r, r + 2))
+    slots = draw(st.permutations(range(rmax)))[:r]
+    active = [i in slots for i in range(rmax)]
+    mask, n = list(active), draw(st.integers(1, 4))
+    parts = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-13])
+    w = draw(st.lists(st.lists(st.builds(complex, parts, parts),
+                               min_size=n, max_size=n), min_size=r, max_size=r))
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        alive = [i for i in range(rmax) if active[i]]
+        unborn = [i for i in range(rmax) if not active[i]]
+        kind = draw(st.sampled_from((["death"] if len(alive) > 1 else [])
+                                    + (["birth"] if unborn else [])))
+        index = draw(st.sampled_from(alive if kind == "death" else unborn))
+        active[index] = kind == "birth"
+        events.append((kind, index))
+    return mask, w, events
+
+
+# numpy: np.delete, np.insert and the projection give each link of a stack
+# the bits it has alone
+@pytest.mark.numpy_floor
+@settings(max_examples=150, deadline=None)
+@given(schedule=_stacked_schedules(), frame=st.integers(0, 99),
+       constraint=st.sampled_from(list(ConstraintKind)))
+# relay 0 carries all of link 0's weight: the uniform fallback
+@example(schedule=([True] * 3, [[1.0, 0.6], [0.0, 0.8j], [0.0, 0.0]],
+                   [("death", 0), ("birth", 0)]),
+         frame=5, constraint=ConstraintKind.SUM_POWER)
+# from R = 2 to R = 1 and back
+@example(schedule=([True, True], [[0.6, 1j], [0.8j, -1.0]],
+                   [("death", 1), ("birth", 1)]),
+         frame=5, constraint=ConstraintKind.PER_RELAY)
+def test_stacked_transition_equals_each_link_alone(schedule, frame,
+                                                   constraint):
+    mask, w, events = schedule
+    reg, w = RelayRegistry(mask), np.array(w, dtype=complex)
+    alone = [(reg, w[:, j].copy(), frame) for j in range(w.shape[1])]
+    for kind, index in events:
+        msg = (apply_death if kind == "death" else apply_birth)(reg, index)[1]
+        reg, w, frame = transition(reg, msg, w, frame, constraint)
+        assert w.shape == (reg.num_active, len(alone))
+        for j, (reg_j, w_j, frame_j) in enumerate(alone):
+            alone[j] = transition(reg_j, msg, w_j, frame_j, constraint)
+            assert np.array_equal(alone[j][0].active, reg.active)
+            assert alone[j][1].tobytes() == w[:, j].tobytes()
+            assert alone[j][2] == frame
+
+
+def _destination(hbar_full, registry, scheme, constraint, beta, frames,
+                 events):
+    """Reference trajectory at the destination, with membership changes.
 
     `events` maps frame number -> ("death", index) or ("birth", index).
-    Returns the per-frame feedback bits, the broadcast messages, and the
-    weight vector after every frame.
+    The weight edits are written here, not taken from `transition`.  TR's
+    stored best is re-measured after a death, reset with the clock by a
+    sum-power birth and kept through a per-relay birth.  Returns the
+    per-frame feedback bits, the broadcast messages, and the weight vector
+    after every frame.
     """
     reg = registry.copy()
-    w, frame = init_weights(reg.num_active, constraint), 0
-    pset = build_perturbation_set(reg.num_active, Scheme.PM)
+    w, best, frame = init_weights(reg.num_active, constraint), 0.0, 0
+    pset = build_perturbation_set(reg.num_active, scheme)
+
+    def objective(v):
+        return _signal_power(v, hbar_full[reg.active])
+
     bits, messages, weights = [], {}, []
     for k in range(frames):
         if k in events:
@@ -213,19 +293,20 @@ def _destination_pm(hbar_full, registry, constraint, beta, frames, events):
             if kind == "death":
                 pos = reg.position_of(idx)
                 reg, msg = apply_death(reg, idx)
-                w = exclude_coordinate(w, pos, constraint)
+                w = project(np.delete(w, pos), constraint,
+                            init_weights(reg.num_active, constraint))
+                best = objective(w)
             else:
                 reg, msg = apply_birth(reg, idx)
                 if constraint is ConstraintKind.SUM_POWER:
-                    w, frame = init_weights(reg.num_active, constraint), 0
+                    w = init_weights(reg.num_active, constraint)
+                    best, frame = 0.0, 0
                 else:
-                    pos = reg.position_of(idx)
-                    w = insert_coordinate(w, pos)
-            pset = build_perturbation_set(reg.num_active, Scheme.PM)
+                    w = np.insert(w, reg.position_of(idx), 1.0)
+            pset = build_perturbation_set(reg.num_active, scheme)
             messages[k] = msg
-        cand = probes(Scheme.PM, w, pset.column(frame), beta, constraint)
-        bit, _ = decide(Scheme.PM, [_signal_power(c, hbar_full[reg.active])
-                                    for c in cand])
+        cand = probes(scheme, w, pset.column(frame), beta, constraint)
+        bit, best = decide(scheme, [objective(c) for c in cand], best)
         w = select(w, cand, bit)
         frame += 1
         bits.append(bit)
@@ -277,18 +358,20 @@ def _schedules(draw):
 
 @pytest.mark.parametrize("constraint", [ConstraintKind.SUM_POWER,
                                         ConstraintKind.PER_RELAY])
+@pytest.mark.parametrize("scheme", [Scheme.PM, Scheme.TR])
 @settings(max_examples=60, deadline=None)
 @given(schedule=_schedules(), seed=st.integers(0, 2**32 - 1))
 @example(schedule=(4, [True] * 4, 2, 24, {6: ("death", 1), 14: ("birth", 1)},
                    {}), seed=21)
-def test_agent_mirrors_pm_through_death_and_birth(constraint, schedule, seed):
+def test_agent_mirrors_through_death_and_birth(scheme, constraint, schedule,
+                                               seed):
     rmax, mask, relay, frames, events, forged = schedule
     hbar_full = complex_normal(np.random.default_rng(seed), (rmax,))
     registry = RelayRegistry(mask)
-    bits, messages, weights = _destination_pm(
-        hbar_full, registry, constraint, 0.2, frames, events)
+    bits, messages, weights = _destination(
+        hbar_full, registry, scheme, constraint, 0.2, frames, events)
 
-    agent = RelayAgent(relay, registry, Scheme.PM, constraint, 0.2)
+    agent = RelayAgent(relay, registry, scheme, constraint, 0.2)
     active = list(mask)  # the destination's mask after each legal broadcast
     for k in range(frames):
         if k in forged:

@@ -15,6 +15,10 @@ from hypothesis.extra.numpy import arrays
 from relaybf import network
 from relaybf.adaptation import ZERO_NORM, ConstraintKind, project, relay_sum
 
+# numpy: `relay_sum` and `network.relay_receive` reproduce the order in which
+# np.sum and np.mean add
+pytestmark = pytest.mark.numpy_floor
+
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324,
            -5e-324, 2.2250738585072014e-308]
 
