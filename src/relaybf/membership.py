@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import (ConstraintKind, Scheme, build_perturbation_set,
-                         init_weights, probes, project, select)
+                         init_weights, probe_steps, probes, project,
+                         select)
 
 _NEWCOMER_WEIGHT = 1.0 + 0j  # a per-relay newcomer's starting weight
 
@@ -225,7 +226,12 @@ class RelayAgent:
         self.beta = float(beta)
         self.weights = init_weights(self.registry.num_active, constraint)
         self.frame_index = 0
-        self.pset = build_perturbation_set(self.registry.num_active, scheme)
+        self._build_steps()
+
+    def _build_steps(self):
+        """The probe offsets of the active set, one per perturbation column."""
+        self.steps = probe_steps(self.scheme, build_perturbation_set(
+            self.registry.num_active, self.scheme), self.beta, 1)
 
     @property
     def is_active(self) -> bool:
@@ -243,8 +249,8 @@ class RelayAgent:
         """Apply one frame's feedback bit to the local mirror: the
         destination's probes, selected by the bit instead of objectives."""
         w = self.weights
-        cand = probes(self.scheme, w, self.pset.column(self.frame_index),
-                      self.beta, self.constraint)
+        cand = probes(w, self.steps[self.frame_index % len(self.steps)],
+                      self.constraint)
         self.weights = select(w, cand, feedback_bit)
         self.frame_index += 1
 
@@ -253,4 +259,4 @@ class RelayAgent:
         so a rejected broadcast leaves the agent as it was."""
         self.registry, self.weights, self.frame_index = transition(
             self.registry, msg, self.weights, self.frame_index, self.constraint)
-        self.pset = build_perturbation_set(self.registry.num_active, self.scheme)
+        self._build_steps()

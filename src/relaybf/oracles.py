@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptation import ConstraintKind, init_weights, relay_sum
+from .adaptation import ConstraintKind, divide_by_real, init_weights, relay_sum
 from .network import _signal_power, _snr
 
 
@@ -19,20 +19,20 @@ def _egc(hbar):
     whose phase is immaterial."""
     mag = np.abs(hbar)
     safe = np.where(mag == 0, 1.0, mag)
-    return np.where(mag == 0, 1.0 + 0j, hbar / safe)
+    return np.where(mag == 0, 1.0 + 0j, divide_by_real(hbar, safe))
 
 
 def _psp(hbar):
     """Receive-power maximizer under the sum constraint, hbar/||hbar||."""
-    return hbar / np.sqrt(relay_sum(np.abs(hbar) ** 2))
+    return divide_by_real(hbar, np.sqrt(relay_sum(np.abs(hbar) ** 2)))
 
 
 def _ssp(hbar, gbar2):
     """SNR maximizer under the sum constraint.  The noise-forwarding matrix
     is diagonal, so w_i is proportional to hbar_i/(1 + |gbar_i|^2),
     whatever the noise level."""
-    raw = hbar / (1.0 + gbar2)
-    return raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
+    raw = divide_by_real(hbar, 1.0 + gbar2)
+    return divide_by_real(raw, np.sqrt(relay_sum(np.abs(raw) ** 2)), out=raw)
 
 
 def closed_form(token, hbar, gbar2):
@@ -83,7 +83,7 @@ def random_search_margins(hbar, gbar2, noise_power, num_vectors, rngs):
             # drawn vector by vector, then viewed relay-first
             raw = (rng.standard_normal((n, r))
                    + 1j * rng.standard_normal((n, r))).T
-            w = raw / np.sqrt(relay_sum(np.abs(raw) ** 2))
+            w = divide_by_real(raw, np.sqrt(relay_sum(np.abs(raw) ** 2)))
             p_top[i] = max(p_top[i], np.max(_signal_power(w, h_i)))
             s_top[i] = max(s_top[i], np.max(_snr(w, h_i, g_i, noise_power)))
     return p_top / p_best, s_top / s_best

@@ -19,6 +19,8 @@ from relaybf.adaptation import (
     build_perturbation_set,
     decide,
     init_weights,
+    probe_step,
+    probe_steps,
     probes,
     project,
     select,
@@ -115,15 +117,16 @@ def test_criterion_02_tr_monotonicity():
     h, g = engine._draw_channels(cfg, 0, n)
     hbar, gbar = network.ideal_compound(h, g, 1.0, noise)
     gbar2 = np.abs(gbar) ** 2
-    pset = build_perturbation_set(3, Scheme.TR)
     w = np.tile(init_weights(3, ConstraintKind.SUM_POWER), (n, 1)).T
+    steps = probe_steps(Scheme.TR, build_perturbation_set(3, Scheme.TR), 0.1,
+                        w.ndim)
     best = np.zeros(n)
     prev = network._snr(w, hbar, gbar2, noise)
     violations = 0
     for k in range(frames):
-        w, best, _ = engine._adapt(cfg, pset, k, w, best, slice(None),
-                                   ConstraintKind.SUM_POWER, hbar, gbar2,
-                                   noise)
+        w, best, _ = engine._adapt(cfg, steps[k % len(steps)], w, best,
+                                   slice(None), ConstraintKind.SUM_POWER,
+                                   hbar, gbar2, noise)
         cur = network._snr(w, hbar, gbar2, noise)
         violations += int(np.count_nonzero(cur < prev))
         prev = cur
@@ -287,7 +290,8 @@ def _mirror_run(scheme, constraint, frames=1000, death_at=300, birth_at=650):
             wire = encode_message(msg, rmax)
             for agent in agents:
                 agent.apply_message(decode_message(wire, rmax))
-        cand = probes(scheme, w, pset.column(frame), 0.1, constraint)
+        cand = probes(w, probe_step(scheme, pset.column(frame), 0.1, w.ndim),
+                      constraint)
         bit, best = decide(scheme, [snr(c) for c in cand], best)
         w = select(w, cand, bit)
         frame += 1

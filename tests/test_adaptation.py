@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from relaybf.adaptation import (ConstraintKind, Scheme,
                                 build_perturbation_set, decide, dft_matrix,
-                                init_weights, probes, project, select)
+                                init_weights, probe_step, probe_steps, probes,
+                                project, select)
 from relaybf.channel import PathLoss, complex_normal, sample_static_rayleigh
 from relaybf.network import _snr, ideal_compound
 from relaybf.oracles import closed_form
@@ -100,15 +101,19 @@ def test_pm_probes_are_tr_probes_at_plus_minus_beta():
         # 5 links, stacked relay-first
         w = project(complex_normal(rng, (5, 3)).T, constraint,
                     init_weights(3, constraint)[:, None])
-        plus, minus = probes(Scheme.PM, w, q, 0.3, constraint)
-        (tr_plus,) = probes(Scheme.TR, w, q, 0.3, constraint)
-        (tr_minus,) = probes(Scheme.TR, w, q, -0.3, constraint)
+        plus, minus = probes(w, probe_step(Scheme.PM, q, 0.3, w.ndim),
+                             constraint)
+        (tr_plus,) = probes(w, probe_step(Scheme.TR, q, 0.3, w.ndim),
+                            constraint)
+        (tr_minus,) = probes(w, probe_step(Scheme.TR, q, -0.3, w.ndim),
+                             constraint)
         np.testing.assert_array_equal(plus, tr_plus)
         np.testing.assert_array_equal(minus, tr_minus)
         # a batch is its links one at a time
         for link, p, m in zip(w.T, plus.T, minus.T):
             np.testing.assert_array_equal(
-                np.stack(probes(Scheme.PM, link, q, 0.3, constraint)),
+                np.stack(probes(link, probe_step(Scheme.PM, q, 0.3, link.ndim),
+                                constraint)),
                 np.stack([p, m]))
 
 
@@ -160,11 +165,39 @@ def test_stacked_probes_equal_each_projection_alone(seed, r, links, kinds,
         alone.append(project(w - step, constraint, w))
     block = np.full((r, len(alone)) + tuple(links), np.nan + 0j)
     for out in (None, block):
-        stack = probes(scheme, w, q, beta, constraint, out)
+        stack = probes(w, probe_step(scheme, q, beta, w.ndim), constraint, out)
         assert stack.shape == (len(alone),) + w.shape
         assert out is None or np.shares_memory(stack, block)
         for got, want in zip(stack, alone):
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("constraint", [SUM, PER])
+@pytest.mark.parametrize("scheme", [Scheme.PM, Scheme.TR])
+def test_hoisted_steps_give_the_per_frame_probes(scheme, constraint):
+    # `probe_steps`, built once per block, give `probes` on frame k the
+    # projections of w + beta*q and, for PM, w - beta*q, built from frame
+    # k's column, bit for bit: for a convergence stack (R, 1, links) with
+    # one beta, and for a tracking stack (R, schemes, B, D, count) with the
+    # beta stack (B, 1, 1), over more than one cycle of the columns.
+    rng = np.random.default_rng(4)
+    r = 3
+    pset = build_perturbation_set(r, scheme)
+    for beta, shape in ((0.1, (r, 1, 5)),
+                        (np.array([0.05, 0.1, 0.3])[:, None, None],
+                         (r, 2, 3, 2, 4))):
+        w = project(complex_normal(rng, shape), constraint, np.ones(shape))
+        steps = probe_steps(scheme, pset, beta, w.ndim)
+        assert len(steps) == pset.num_columns
+        for k in range(2 * pset.num_columns + 1):
+            dq = beta * pset.column(k).reshape((r,) + (1,) * (w.ndim - 1))
+            want = [project(w + dq, constraint, w)]
+            if scheme is Scheme.PM:
+                want.append(project(w - dq, constraint, w))
+            got = probes(w, steps[k % len(steps)], constraint)
+            assert got.shape == (len(want),) + w.shape
+            for g, w_k in zip(got, want):
+                assert np.ascontiguousarray(g).tobytes() == w_k.tobytes()
 
 
 def test_project_rejects_unknown_constraint():
@@ -220,7 +253,8 @@ def test_perturbed_vectors_stay_feasible():
             pset = build_perturbation_set(4, scheme)
             w = init_weights(4, constraint)
             for k in range(12):
-                cands = probes(scheme, w, pset.column(k), 0.25, constraint)
+                cands = probes(w, probe_step(scheme, pset.column(k), 0.25,
+                                             w.ndim), constraint)
                 for c in cands:
                     assert _feasibility_error(c, constraint) < 1e-12
                 w = cands[-1]
@@ -244,13 +278,15 @@ def test_first_frame_probes_the_starting_direction():
     beta = 0.1
     w = init_weights(3, SUM)
     tr_set = build_perturbation_set(3, Scheme.TR)
-    (cand,) = probes(Scheme.TR, w, tr_set.column(0), beta, SUM)
+    (cand,) = probes(w, probe_step(Scheme.TR, tr_set.column(0), beta, w.ndim),
+                     SUM)
     np.testing.assert_allclose(cand, w, atol=1e-14)
     bit, _ = decide(Scheme.TR, (0.42,), 0.0)
     assert bit
 
     pm_set = build_perturbation_set(3, Scheme.PM)
-    plus, minus = probes(Scheme.PM, w, pm_set.column(0), beta, SUM)
+    plus, minus = probes(w, probe_step(Scheme.PM, pm_set.column(0), beta,
+                                       w.ndim), SUM)
     np.testing.assert_allclose(plus, w, atol=1e-14)
     np.testing.assert_allclose(minus, w, atol=1e-14)
 
@@ -269,7 +305,8 @@ def test_tr_trajectory_is_monotone_with_unit_forgetting():
         w, best = init_weights(3, SUM), 0.0
         prev = _snr(w, hbar, gbar2, noise)
         for k in range(120):
-            cand = probes(Scheme.TR, w, pset.column(k), 0.1, SUM)
+            cand = probes(w, probe_step(Scheme.TR, pset.column(k), 0.1,
+                                        w.ndim), SUM)
             bit, best = decide(Scheme.TR, (_snr(cand[0], hbar, gbar2, noise),),
                                best)
             w = select(w, cand, bit)
@@ -288,7 +325,8 @@ def test_pm_converges_toward_oracle():
         opt = _snr(closed_form("s-sp", hbar, gbar2), hbar, gbar2, noise)
         w = init_weights(3, SUM)
         for k in range(60):
-            cand = probes(Scheme.PM, w, pset.column(k), 0.1, SUM)
+            cand = probes(w, probe_step(Scheme.PM, pset.column(k), 0.1,
+                                        w.ndim), SUM)
             bit, _ = decide(Scheme.PM,
                             [_snr(c, hbar, gbar2, noise) for c in cand])
             w = select(w, cand, bit)

@@ -20,6 +20,8 @@ from relaybf.adaptation import (
     build_perturbation_set,
     decide,
     init_weights,
+    probe_step,
+    probe_steps,
     probes,
     select,
 )
@@ -348,8 +350,8 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
                            forgetting_factor=forgetting)
 
     def step(w, best, k, hbar, gbar2):
-        return engine._adapt(cfg, pset, k, w, best, snr, constraint, hbar,
-                             gbar2, noise)
+        return engine._adapt(cfg, steps[k % len(steps)], w, best, snr,
+                             constraint, hbar, gbar2, noise)
 
     def measure(cand):
         # the objectives of the candidate stack are those of each candidate
@@ -366,12 +368,14 @@ def test_batched_kernels_match_scalar_path(scheme, r, beta, constraint,
 
     pset = build_perturbation_set(r, scheme)
     start = init_weights(r, constraint)[:, None]
+    steps = probe_steps(scheme, pset, beta, start.ndim)
     w, best = np.tile(start, (1, links)), np.zeros(links)
     alone = [(start, np.zeros(1))] * links
     agents = [RelayAgent(0, RelayRegistry.full(r), scheme, constraint, beta)
               for _ in range(links)]
     for k in range(30):
-        cand = probes(scheme, w, pset.column(k), beta, constraint)
+        cand = probes(w, probe_step(scheme, pset.column(k), beta, w.ndim),
+                      constraint)
         j = measure(cand)
         # the public decision rule, with the drawn forgetting factor, on the
         # public objectives; PM passes the stored best through
@@ -518,7 +522,10 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
             return network._snr(w, hbar, gbar2, noise)
         return network._signal_power(w, hbar)
 
-    pset = build_perturbation_set(r, cfg.scheme)
+    (beta,) = cfg.betas
+    # the weights are (R, count)
+    steps = probe_steps(cfg.scheme, build_perturbation_set(r, cfg.scheme),
+                        beta, 2)
     ratio, bits = [], []
     for start, count in engine._block_ranges(cfg, n):
         h, g = engine._draw_channels(cfg, start, count)
@@ -532,8 +539,9 @@ def test_convergence_matches_the_snr_of_every_link(scheme, r, n, block_size,
         for k in range(frames + 1):
             ratio.append(score(w, hbar, gbar2) / opt)
             if k < frames:
-                w, best, bit = engine._adapt(cfg, pset, k, w, best, snr,
-                                             constraint, hbar, gbar2, noise)
+                w, best, bit = engine._adapt(cfg, steps[k % len(steps)], w,
+                                             best, snr, constraint, hbar,
+                                             gbar2, noise)
                 bits.append(bit)
     # (realizations, frames + 1) and (realizations, frames)
     ratio = np.vstack([np.stack(ratio[i:i + frames + 1], axis=1)
@@ -870,13 +878,14 @@ def test_realistic_pm_detection_uses_previous_winner():
     for f in range(6):
         pilots, data, measured = _frame_inputs(bank, f, rng, 1e-3)
         ws, winner, h_data, _ = engine._pm_track_frame(
-            ws, carry, 0.1, pset.column(f), slice(1, 2), SUM, pilots, data,
-            measured, False)
+            ws, carry, probe_step(Scheme.PM, pset.column(f), 0.1, ws.ndim),
+            slice(1, 2), SUM, pilots, data, measured, False)
         (gx, v), alpha = pilots, np.sqrt(1.0 / measured[:, 0, 0])
         for m, objective in enumerate([Objective.POWER, Objective.SNR]):
             # the same frame through one link's candidates and the
             # estimators
-            cand = probes(Scheme.PM, w[m], pset.column(f), 0.1, SUM)
+            cand = probes(w[m], probe_step(Scheme.PM, pset.column(f), 0.1,
+                                           w[m].ndim), SUM)
             y = [np.sum(gx[:, i, 0, 0] * (np.conj(c) * alpha)[:, None],
                         axis=0) + v[i, 0, 0] for i, c in enumerate(cand)]
             halves = [estimation._channel_estimate(yy) for yy in y]
@@ -906,9 +915,11 @@ def test_realistic_pm_whole_mode_averages_the_halves():
     w0 = init_weights(2, SUM)
     # column 1 is not aligned with w0, so the two halves differ
     _, winner, h_data, _ = engine._pm_track_frame(
-        w0[:, None, None], np.array([[7.0 + 0j]]), 0.1, pset.column(1),
-        None, SUM, pilots, data, measured, True)
-    plus, minus = probes(Scheme.PM, w0, pset.column(1), 0.1, SUM)
+        w0[:, None, None], np.array([[7.0 + 0j]]),
+        probe_step(Scheme.PM, pset.column(1), 0.1, 3), None, SUM, pilots,
+        data, measured, True)
+    plus, minus = probes(w0, probe_step(Scheme.PM, pset.column(1), 0.1,
+                                        w0.ndim), SUM)
     a = lambda c: np.sum(np.conj(c) * g * h / np.abs(h))
     assert a(plus) != pytest.approx(a(minus), rel=1e-3)
     assert h_data[0, 0] == pytest.approx(0.5 * (a(plus) + a(minus)),

@@ -11,6 +11,7 @@ from relaybf.adaptation import (
     build_perturbation_set,
     decide,
     init_weights,
+    probe_step,
     probes,
     project,
     select,
@@ -305,7 +306,8 @@ def _destination(hbar_full, registry, scheme, constraint, beta, frames,
                     w = np.insert(w, reg.position_of(idx), 1.0)
             pset = build_perturbation_set(reg.num_active, scheme)
             messages[k] = msg
-        cand = probes(scheme, w, pset.column(frame), beta, constraint)
+        cand = probes(w, probe_step(scheme, pset.column(frame), beta, w.ndim),
+                      constraint)
         bit, best = decide(scheme, [objective(c) for c in cand], best)
         w = select(w, cand, bit)
         frame += 1
@@ -418,7 +420,7 @@ def test_agent_mirrors_tr():
     agent = RelayAgent(0, RelayRegistry.full(3), Scheme.TR,
                        ConstraintKind.SUM_POWER, 0.15)
     for k in range(40):
-        cand = probes(Scheme.TR, w, pset.column(k), 0.15,
+        cand = probes(w, probe_step(Scheme.TR, pset.column(k), 0.15, w.ndim),
                       ConstraintKind.SUM_POWER)
         bit, best = decide(Scheme.TR, (_signal_power(cand[0], hbar),), best)
         w = select(w, cand, bit)

@@ -1,9 +1,10 @@
 """The relay-first layout against numpy's relay-last sums, bit for bit.
 
 Batched weights and channels are stacked (R, *links) and summed over relays
-by `relay_sum`.  The digests cover only R = 3, so these properties pin the
-helper, and the kernels built on it, to the relay-last formulas they
-replaced for other relay counts too.
+by `relay_sum`, and scaled by real norms with `divide_by_real`.  The digests
+cover only R = 3, so these properties pin the helpers, and the kernels
+built on them, to the numpy formulas they replaced for other relay counts
+and layouts too.
 """
 
 import numpy as np
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from relaybf import network
-from relaybf.adaptation import ZERO_NORM, ConstraintKind, project, relay_sum
+from relaybf.adaptation import (ZERO_NORM, ConstraintKind, divide_by_real,
+                                project, relay_sum)
 
 # numpy: `relay_sum` and `network.relay_receive` reproduce the order in which
-# np.sum and np.mean add
+# np.sum and np.mean add, and `divide_by_real` numpy's complex division,
+# Smith's algorithm
 pytestmark = pytest.mark.numpy_floor
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324,
@@ -84,6 +87,57 @@ def test_sum_power_projection_divides_by_the_norm(data, links):
         projected = project(w[:r], ConstraintKind.SUM_POWER, fallback[:r])
         ok = (ZERO_NORM <= norm) & (norm < np.inf)
         _assert_same_bits(projected[:, ok], divided[:, ok])
+
+
+# parts of the dividends: signed zeros, subnormals, magnitudes near 1e+-300
+# (whose quotients by 1e+-300 overflow or underflow to zero) and non-finite
+# values, next to ordinary ones
+_PARTS = st.one_of(
+    st.sampled_from(SPECIAL + [1e-300, -1e-300, 1e300, -1e300, 3e-310,
+                               -3e-310, 1.0, -1.0]),
+    st.floats(-4.0, 4.0), st.floats())
+_DIVISORS = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 1.0,
+                     np.sqrt(2.0), 1e300, 1.7976931348623157e308, np.inf,
+                     np.nan]),
+    st.floats(min_value=0.0, exclude_min=True))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=1,
+                                      max_size=3),
+       divisor=st.sampled_from(["0-d", "relays", "last-axis-1",
+                                "elementwise"]),
+       transposed=st.booleans(),
+       out=st.sampled_from(["none", "c", "transposed", "in-place"]))
+def test_divide_by_real_is_numpys_division(data, shape, divisor, transposed,
+                                           out):
+    # w / d for reals d > 0 (inf and NaN included): `divide_by_real` has
+    # the bits of `np.divide`, signed zeros included, for divisors that are
+    # 0-d numpy scalars (a single vector's norm), broadcast over the relays,
+    # broadcast along the last axis or elementwise; for inputs that are
+    # transposed views, whose last axis is not contiguous; and written to a
+    # contiguous or transposed `out`, or in place.
+    shape = tuple(shape)
+    parts = data.draw(arrays(np.float64, shape[::-1] + (2,), elements=_PARTS))
+    w = parts[..., 0] + 1j * parts[..., 1]
+    w = w.T if transposed else np.ascontiguousarray(w.T)
+    d_shape = {"0-d": (), "relays": shape[1:],
+               "last-axis-1": shape[:-1] + (1,), "elementwise": shape}[divisor]
+    d = data.draw(arrays(np.float64, d_shape, elements=_DIVISORS))
+    if divisor == "0-d":
+        d = d[()]  # a numpy scalar, as np.sqrt of a scalar sum returns
+    want = np.divide(w, d)
+    if out == "none":
+        got = divide_by_real(w, d)
+    else:
+        target = {"c": np.full(shape, np.nan + 0j),
+                  "transposed": np.full(shape[::-1], np.nan + 0j).T,
+                  "in-place": w.copy(order="K")}[out]
+        got = divide_by_real(target if out == "in-place" else w, d, target)
+        assert got is target
+    _assert_same_bits(got, want)
 
 
 def _signal_power(w, hbar):
